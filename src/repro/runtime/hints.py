@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.errors import PolicyError
+from repro.core.errors import PolicyError, ProfileError
 from repro.core.units import PAGE_SIZE, bytes_to_pages
 from repro.memory.acpi import FirmwareTables
 from repro.policies.annotated import PlacementHint
@@ -118,7 +118,7 @@ def hints_from_profile(workload: TraceWorkload,
             hotness.append(float(
                 profile.structure_by_name(spec.name).accesses
             ))
-        except Exception:
+        except ProfileError:
             # Structures absent from the training profile (data
             # dependent allocations) fall back to neutral hotness.
             hotness.append(0.0)

@@ -19,6 +19,7 @@ See ``docs/api.md`` ("Serving") for the endpoint catalogue and
 semantics.
 """
 
+from repro.obs.metrics import MetricsRegistry, parse_metrics
 from repro.serve.admission import (
     AdmissionController,
     AdmissionShedError,
@@ -46,7 +47,6 @@ from repro.serve.config import (
     default_serve_url,
 )
 from repro.serve.http import BackgroundServer, ServeApp, run
-from repro.serve.metrics import MetricsRegistry, parse_metrics
 from repro.serve.ring import HashRing
 from repro.serve.service import (
     BadRequestError,

@@ -42,45 +42,34 @@ from __future__ import annotations
 
 import asyncio
 import atexit
-import json
-import hashlib
 import multiprocessing
-import signal
 import socket
 import sys
-import threading
 import time
 from collections import OrderedDict
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.core.errors import ServeError
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
 from repro.serve.admission import (
-    LANE_COLD,
-    LANE_PLACEMENT,
     LANE_WARM,
     LANES,
     AdmissionController,
-    AdmissionShedError,
     ShardUnavailableError,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.config import ROLE_ROUTER, ServeConfig
 from repro.serve.http import (
     METRICS_CONTENT_TYPE,
+    BackgroundApp,
+    Endpoint,
+    FrontEnd,
     _HttpRequest,
     _HttpResponse,
-    drain_rejected_body,
-    read_http_request,
     run as run_single,
 )
 from repro.serve.ring import HashRing
-from repro.serve.service import (
-    BadRequestError,
-    autotune_job_key,
-    parse_simulate_spec,
-)
 
 #: headers the router forwards verbatim to the shard.  The deadline
 #: header is NOT forwarded raw — the router always sends the budget
@@ -90,6 +79,10 @@ _FORWARD_HEADERS = ("content-type",)
 
 #: headers the router copies back from the shard's response.
 _RETURN_HEADERS = ("retry-after",)
+
+#: the liveness probe the router sends a shard.
+_HEALTH_PROBE = (b"GET /healthz HTTP/1.1\r\nHost: shard\r\n"
+                 b"Connection: close\r\n\r\n")
 
 #: process handles spawned by any router in this process; killed at
 #: interpreter exit so a crashed router can never leak shard daemons.
@@ -115,35 +108,6 @@ def _free_port() -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-def simulate_job_key(payload: Mapping[str, Any]) -> str:
-    """The routing key for a simulate payload: its canonical spec
-    digest (identical requests → identical key → same shard → the
-    shard's single-flight dedup and result cache both hit)."""
-    spec = parse_simulate_spec(payload)
-    blob = json.dumps(spec.canonical(), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def placement_job_key(payload: Mapping[str, Any]) -> str:
-    """Routing key for a placement payload.
-
-    Placement bodies carry no mandatory workload field, so the key is
-    the client-supplied ``workload`` when present (annotated runtimes
-    send one), else the topology label — the axis the shard's
-    firmware-table cache is keyed on.
-    """
-    workload = payload.get("workload")
-    if isinstance(workload, str) and workload:
-        return f"placement:{workload}"
-    topology = payload.get("topology")
-    if isinstance(topology, str) and topology:
-        return f"placement:topology:{topology}"
-    if isinstance(topology, Mapping):
-        return "placement:topology:custom"
-    return "placement:topology:baseline"
 
 
 class ShardHandle:
@@ -213,13 +177,18 @@ async def _raw_http(host: str, port: int, data: bytes,
     return await asyncio.wait_for(exchange(), timeout=timeout)
 
 
-class RouterApp:
+class RouterApp(FrontEnd):
     """The front router: admission + consistent-hash proxy tier."""
+
+    span_name = "router.request"
+    span_cat = "router"
+    startup_timeout_s = 120.0
+    kind = "cluster"
 
     def __init__(self, config: ServeConfig) -> None:
         if config.shards < 1:
             raise ServeError("RouterApp needs shards >= 1")
-        self.config = config
+        super().__init__(config)
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
         self.metrics = MetricsRegistry()
@@ -236,8 +205,6 @@ class RouterApp:
         self.admission.on_shed = self._on_shed
         #: job keys whose simulate completed (→ warm lane next time).
         self._warm: OrderedDict[str, None] = OrderedDict()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set[asyncio.Task] = set()
         self._health_task: Optional[asyncio.Task] = None
         self._respawn_tasks: set[asyncio.Task] = set()
         self._stopping = False
@@ -305,16 +272,6 @@ class RouterApp:
     # lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
     def _spawn(self, shard: ShardHandle) -> None:
         """Start (or restart) the worker process for ``shard``."""
         shard.port = _free_port()
@@ -328,22 +285,24 @@ class RouterApp:
         shard.proc = proc
         _LIVE_PROCS.add(proc)
 
+    async def _probe(self, shard: ShardHandle) -> bool:
+        """True when ``shard`` answers ``/healthz`` with a 200."""
+        try:
+            status, _, _ = await _raw_http(
+                "127.0.0.1", shard.port, _HEALTH_PROBE,
+                timeout=self.config.health_timeout_s)
+        except (OSError, asyncio.TimeoutError, ConnectionError):
+            return False
+        return status == 200
+
     async def _wait_shard_ready(self, shard: ShardHandle,
                                 timeout_s: float = 60.0) -> bool:
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline and not self._stopping:
             if shard.proc is None or not shard.proc.is_alive():
                 return False
-            try:
-                status, _, _ = await _raw_http(
-                    "127.0.0.1", shard.port,
-                    b"GET /healthz HTTP/1.1\r\nHost: shard\r\n"
-                    b"Connection: close\r\n\r\n",
-                    timeout=self.config.health_timeout_s)
-                if status == 200:
-                    return True
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                pass
+            if await self._probe(shard):
+                return True
             await asyncio.sleep(0.05)
         return False
 
@@ -360,8 +319,7 @@ class RouterApp:
             shard.up = True
             self.ring.add(shard.name)
             self.admission.add_shard(shard.name)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+        await self._listen()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop(), name="repro-router-health")
 
@@ -376,14 +334,7 @@ class RouterApp:
             self._health_task = None
         for task in list(self._respawn_tasks):
             task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        pending = {t for t in self._connections if not t.done()}
-        if pending and self.config.drain_timeout_s > 0:
-            await asyncio.wait(pending,
-                               timeout=self.config.drain_timeout_s)
+        await self._close_listener()
         for shard in self.shards:
             self.admission.fail_shard(shard.name, "router stopping")
         await self._teardown_shards()
@@ -418,17 +369,7 @@ class RouterApp:
 
     async def _check_shard(self, shard: ShardHandle) -> None:
         alive = shard.proc is not None and shard.proc.is_alive()
-        healthy = False
-        if alive:
-            try:
-                status, _, _ = await _raw_http(
-                    "127.0.0.1", shard.port,
-                    b"GET /healthz HTTP/1.1\r\nHost: shard\r\n"
-                    b"Connection: close\r\n\r\n",
-                    timeout=self.config.health_timeout_s)
-                healthy = status == 200
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                healthy = False
+        healthy = alive and await self._probe(shard)
         if healthy:
             shard.failures = 0
             if not shard.up:  # pragma: no cover - transient flap
@@ -492,190 +433,57 @@ class RouterApp:
             shard.respawning = False
 
     # ------------------------------------------------------------------
-    # protocol plumbing (same shapes as ServeApp)
+    # front-end hooks
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        request = None
-        try:
-            try:
-                request = await read_http_request(
-                    reader, self.config.max_body_bytes,
-                    idle_timeout_s=self.config.header_read_timeout_s)
-            except ServeError as exc:
-                body = dict(exc.payload)
-                body["error"] = str(exc)
-                writer.write(_HttpResponse.json(
-                    body, status=exc.status or 400).encode())
-                await writer.drain()
-                if exc.status == 413:
-                    await drain_rejected_body(
-                        reader, self.config.header_read_timeout_s)
-                return
-            except asyncio.IncompleteReadError:
-                return
-            if request is None:
-                return
-            response = await self._respond(request)
-            writer.write(response.encode())
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover
-            pass
-        finally:
-            if request is not None:
-                request.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
+    def _announce_listening(self) -> None:
+        ports = [s.port for s in self.shards]
+        log_event(
+            "router.listening",
+            message=(f"repro.serve router on {self.base_url} "
+                     f"({len(self.shards)} shards on ports {ports})"),
+            url=self.base_url, shards=len(self.shards), stream=sys.stdout)
 
-    async def _respond(self, request: _HttpRequest) -> _HttpResponse:
-        trace_id = request.headers.get(obs_trace.TRACE_ID_HEADER.lower())
-        if trace_id is None and obs_trace.enabled():
-            trace_id = obs_trace.new_trace_id()
-        if trace_id is None:
-            return await self._dispatch(request)
-        token = obs_trace.set_trace_id(trace_id)
-        try:
-            with obs_trace.lane():
-                with obs_trace.span("router.request", cat="router",
-                                    method=request.method,
-                                    path=request.path) as span:
-                    response = await self._dispatch(request)
-                    span.annotate(status=response.status)
-        finally:
-            obs_trace.reset_trace_id(token)
-        response.headers.setdefault(obs_trace.TRACE_ID_HEADER, trace_id)
-        return response
+    def _announce_draining(self) -> None:
+        log_event("router.draining", message="router draining...",
+                  stream=sys.stdout)
 
-    def _route(self, request: _HttpRequest):
-        path, method = request.path, request.method
-        if path == "/healthz" and method == "GET":
-            return "healthz", "local"
-        if path == "/metrics" and method == "GET":
-            return "metrics", "local"
-        if path == "/v1/placement" and method == "POST":
-            return "placement", "proxy"
-        if path == "/v1/simulate" and method == "POST":
-            return "simulate", "proxy"
-        if path == "/v1/autotune" and method == "POST":
-            return "autotune", "proxy"
-        if path == "/v1/traces" and method in ("POST", "GET"):
-            return "traces", "proxy"
-        if path.startswith("/v1/profile/") and method == "GET":
-            return "profile", "proxy"
-        known = {"/healthz", "/metrics", "/v1/placement", "/v1/simulate",
-                 "/v1/autotune", "/v1/traces"}
-        if path in known or path.startswith("/v1/profile/"):
-            return "other", None  # right path, wrong method
-        return "other", False  # unknown path
+    def _announce_stopped(self) -> None:
+        log_event("router.stopped",
+                  message="router and shards stopped cleanly",
+                  stream=sys.stdout)
 
-    async def _dispatch(self, request: _HttpRequest) -> _HttpResponse:
-        endpoint, kind = self._route(request)
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        timeout = self.config.request_timeout_s
-        hint = request.timeout_hint()
-        if hint is not None:
-            timeout = min(timeout, hint)
-        request.deadline = time.monotonic() + timeout
-        lane_name = "none"
-        if kind is None:
-            response = _HttpResponse.json(
-                {"error": f"method {request.method} not allowed "
-                          f"for {request.path}"}, status=405)
-        elif kind is False:
-            response = _HttpResponse.json(
-                {"error": f"no route {request.path}"}, status=404)
-        elif kind == "local":
-            if endpoint == "healthz":
-                response = _HttpResponse.json(self.health())
-            else:
-                self._refresh_gauges()
-                response = _HttpResponse(
-                    200, self.metrics.render().encode("utf-8"),
-                    content_type=METRICS_CONTENT_TYPE)
-        else:
-            try:
-                lane, key = self._classify(endpoint, request)
-                lane_name = LANES[lane]
-                response = await asyncio.wait_for(
-                    self._proxy_endpoint(endpoint, lane, key, request),
-                    timeout=timeout)
-            except asyncio.TimeoutError:
-                response = _HttpResponse.json(
-                    {"error": f"request timed out after {timeout}s"},
-                    status=504)
-            except ServeError as exc:
-                headers = {}
-                if exc.retry_after is not None:
-                    headers["Retry-After"] = (
-                        f"{max(exc.retry_after, 0.0):g}")
-                body = dict(exc.payload)
-                body["error"] = str(exc)
-                response = _HttpResponse.json(
-                    body, status=exc.status or 400,
-                    headers=headers)
-            except Exception as exc:  # noqa: BLE001 - daemon boundary
-                response = _HttpResponse.json(
-                    {"error": f"internal error: "
-                              f"{type(exc).__name__}: {exc}"},
-                    status=500)
-        self.m_requests.inc(endpoint=endpoint,
-                            status=str(response.status))
-        self.m_latency.observe(loop.time() - started, lane=lane_name)
-        return response
+    def _observe(self, endpoint: str, request: _HttpRequest,
+                 response: _HttpResponse, elapsed_s: float) -> None:
+        self.m_requests.inc(endpoint=endpoint, status=str(response.status))
+        self.m_latency.observe(elapsed_s, lane=request.lane)
+
+    async def _get_healthz(self, request: _HttpRequest) -> _HttpResponse:
+        return _HttpResponse.json(self.health())
+
+    async def _get_metrics(self, request: _HttpRequest) -> _HttpResponse:
+        self._refresh_gauges()
+        return _HttpResponse(200, self.metrics.render().encode("utf-8"),
+                             content_type=METRICS_CONTENT_TYPE)
 
     # ------------------------------------------------------------------
     # routing + admission + proxy
     # ------------------------------------------------------------------
 
-    def _classify(self, endpoint: str,
-                  request: _HttpRequest) -> tuple[int, str]:
-        """(lane, job key) for a proxied request.
-
-        Lane order is the admission priority: placement always
-        answers; simulate work whose key completed before is warm
-        (a cache hit on its shard); never-seen simulate work is cold
-        and first to shed.
-        """
-        if endpoint == "placement":
-            return LANE_PLACEMENT, placement_job_key(request.json())
-        if endpoint == "profile":
-            workload = request.path[len("/v1/profile/"):]
-            if not workload or "/" in workload:
-                raise ServeError(f"bad profile path {request.path!r}",
-                                 status=404)
-            return LANE_WARM, f"profile:{workload}"
-        if endpoint == "autotune":
-            # Warm lane: tuned profiles persist in the shard's result
-            # cache, so repeat requests are profile-store hits — and a
-            # first-time tuning run is epoch-bounded, nothing like a
-            # cold full-grid simulate.  Keyed by the profile digest so
-            # identical requests land on one shard's single-flight.
-            return LANE_WARM, f"autotune:{autotune_job_key(request.json())}"
-        if endpoint == "traces":
-            if request.method == "GET":
-                return LANE_WARM, "traces:list"
-            # uploads are admission-controlled as cold work: a flood of
-            # trace uploads must never starve placement or warm
-            # simulate traffic.
-            name = request.query.get("name", "")
-            return LANE_COLD, f"trace:{name or '<unnamed>'}"
-        try:
-            key = simulate_job_key(request.json())
-        except BadRequestError:
-            # Invalid payloads never reach a shard: answer the same
-            # 400 the shard's own (shared) validator would produce.
-            raise
-        lane = LANE_WARM if key in self._warm else LANE_COLD
-        return lane, key
+    async def _call(self, route: Endpoint,
+                    request: _HttpRequest) -> _HttpResponse:
+        """Answer local rows here; admit and proxy the rest."""
+        if route.lane is None:
+            return await super()._call(route, request)
+        # A payload the shared request validator rejects raises its
+        # 400 here, so invalid work never reaches a shard.
+        key = route.job_key(request)
+        lane = route.lane
+        if route.endpoint == "simulate" and key in self._warm:
+            lane = LANE_WARM  # completed before: a shard cache hit
+        request.lane = LANES[lane]
+        return await self._proxy_endpoint(route.endpoint, lane, key,
+                                          request)
 
     def _mark_warm(self, key: str) -> None:
         self._warm[key] = None
@@ -802,50 +610,10 @@ def run_cluster(config: ServeConfig,
     ``drain_timeout_s`` to finish), then SIGTERM the shards, which run
     their own graceful drains before exiting.
     """
-    app = RouterApp(config)
-
-    async def main() -> None:
-        await app.start()
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        handled = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-                handled.append(signum)
-            except (NotImplementedError, RuntimeError):
-                pass
-        if ready_message:
-            ports = [s.port for s in app.shards]
-            log_event(
-                "router.listening",
-                message=(f"repro.serve router on {app.base_url} "
-                         f"({len(app.shards)} shards on ports "
-                         f"{ports})"),
-                url=app.base_url, shards=len(app.shards),
-                stream=sys.stdout)
-        try:
-            await stop_requested.wait()
-            if ready_message:
-                log_event("router.draining",
-                          message="router draining...",
-                          stream=sys.stdout)
-        finally:
-            await app.stop()
-            for signum in handled:
-                loop.remove_signal_handler(signum)
-        if ready_message:
-            log_event("router.stopped",
-                      message="router and shards stopped cleanly",
-                      stream=sys.stdout)
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - non-Unix fallback
-        pass
+    RouterApp(config).run_until_signalled(ready_message)
 
 
-class BackgroundCluster:
+class BackgroundCluster(BackgroundApp):
     """A router + shards on a dedicated event-loop thread (tests).
 
     Mirrors :class:`~repro.serve.http.BackgroundServer`::
@@ -854,60 +622,8 @@ class BackgroundCluster:
             client = ServeClient(c.base_url)
     """
 
-    def __init__(self, config: ServeConfig) -> None:
-        self.app = RouterApp(config)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def base_url(self) -> str:
-        return self.app.base_url
+    app_class = RouterApp
+    thread_name = "repro-router"
 
     def shard_url(self, index: int) -> str:
         return f"http://127.0.0.1:{self.app.shards[index].port}"
-
-    def start(self) -> "BackgroundCluster":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=120)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise ServeError("cluster failed to start within 120s")
-        return self
-
-    def _run(self) -> None:
-        async def main() -> None:
-            try:
-                await self.app.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
-            self._ready.set()
-            await self._stop_event.wait()
-            await self.app.stop()
-
-        asyncio.run(main())
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=120)
-        self._thread = None
-        self._loop = None
-
-    def __enter__(self) -> "BackgroundCluster":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

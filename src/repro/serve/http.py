@@ -6,14 +6,12 @@ numpy + stdlib (the repo's hard constraint).  One request per
 connection (``Connection: close``) — placement traffic is small and
 the accept loop is cheap, so protocol simplicity wins over keep-alive.
 
-Routes::
-
-    GET  /healthz                  liveness + catalogue summary
-    GET  /metrics                  Prometheus text exposition
-    POST /v1/placement             GetAllocation hints (micro-batched)
-    POST /v1/simulate              experiment via runner + cache + dedup
-    POST /v1/autotune              closed-loop interleave-ratio tuning
-    GET  /v1/profile/<workload>    cached CDF/hotness profile
+Routes: :data:`ENDPOINTS` is the one route table.  Each row names the
+method, path, metric label and daemon handler of an endpoint, plus the
+admission lane and job key the cluster router uses for it; both front
+ends (:class:`ServeApp` here, ``RouterApp`` in :mod:`repro.serve.cluster`)
+route from it through the shared :class:`FrontEnd` base, so adding an
+endpoint is one row.
 
 Error contract: JSON ``{"error": ...}`` bodies; 400 for malformed
 requests, 404 unknown route, 413 oversized body, 429 + ``Retry-After``
@@ -36,20 +34,26 @@ traceback.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import signal
 import sys
 import tempfile
 import threading
 import time
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.core.errors import ServeError
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
+from repro.serve.admission import LANE_COLD, LANE_PLACEMENT, LANE_WARM
 from repro.serve.config import ServeConfig
-from repro.serve.service import PlacementService
+from repro.serve.service import (
+    PlacementService,
+    autotune_job_key,
+    parse_simulate_spec,
+)
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -68,7 +72,7 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 class _HttpRequest:
     __slots__ = ("method", "target", "path", "query", "headers", "body",
-                 "body_file", "deadline")
+                 "body_file", "deadline", "lane")
 
     def __init__(self, method: str, target: str,
                  headers: Mapping[str, str], body: bytes) -> None:
@@ -85,8 +89,11 @@ class _HttpRequest:
         #: octet-stream bodies never land in one bytes object); ``body``
         #: is empty when this is set.
         self.body_file = None
-        #: absolute time.monotonic() budget, set by the router.
+        #: absolute time.monotonic() budget, set on dispatch.
         self.deadline: Optional[float] = None
+        #: admission lane name the router classified this request into
+        #: (its latency metric label); "none" when never admitted.
+        self.lane = "none"
 
     def body_bytes(self) -> bytes:
         """The full body regardless of spooling (proxy re-emission)."""
@@ -145,6 +152,18 @@ class _HttpResponse:
              ) -> "_HttpResponse":
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         return cls(status, body, headers=headers)
+
+    @classmethod
+    def error(cls, exc: ServeError) -> "_HttpResponse":
+        """The JSON error reply for ``exc``: its status (400 when it
+        carries none), its payload plus ``error``, and ``Retry-After``
+        when it gives a backoff hint."""
+        headers = {}
+        if exc.retry_after is not None:
+            headers["Retry-After"] = f"{max(exc.retry_after, 0.0):g}"
+        body = dict(exc.payload)
+        body["error"] = str(exc)
+        return cls.json(body, status=exc.status or 400, headers=headers)
 
     def encode(self) -> bytes:
         reason = _REASONS.get(self.status, "Unknown")
@@ -278,12 +297,132 @@ async def read_http_request(reader: asyncio.StreamReader,
     return _HttpRequest(method.upper(), target, headers, body)
 
 
-class ServeApp:
-    """The daemon: a :class:`PlacementService` behind an asyncio server."""
+#: path prefix of the per-workload profile endpoint.
+PROFILE_PREFIX = "/v1/profile/"
 
-    def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.config = config or ServeConfig()
-        self.service = PlacementService(self.config)
+
+def profile_workload(request: _HttpRequest) -> str:
+    """The ``<workload>`` of ``GET /v1/profile/<workload>``; a 404
+    :class:`ServeError` when it is empty or has further segments."""
+    workload = request.path[len(PROFILE_PREFIX):]
+    if not workload or "/" in workload:
+        raise ServeError(f"bad profile path {request.path!r}", status=404)
+    return workload
+
+
+def simulate_job_key(payload: Mapping[str, Any]) -> str:
+    """The routing key for a simulate payload: its canonical spec
+    digest (identical requests → identical key → same shard → the
+    shard's single-flight dedup and result cache both hit)."""
+    spec = parse_simulate_spec(payload)
+    blob = json.dumps(spec.canonical(), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def placement_job_key(payload: Mapping[str, Any]) -> str:
+    """Routing key for a placement payload.
+
+    Placement bodies carry no mandatory workload field, so the key is
+    the client-supplied ``workload`` when present (annotated runtimes
+    send one), else the topology label — the axis the shard's
+    firmware-table cache is keyed on.
+    """
+    workload = payload.get("workload")
+    if isinstance(workload, str) and workload:
+        return f"placement:{workload}"
+    topology = payload.get("topology")
+    if isinstance(topology, str) and topology:
+        return f"placement:topology:{topology}"
+    if isinstance(topology, Mapping):
+        return "placement:topology:custom"
+    return "placement:topology:baseline"
+
+
+class Endpoint(NamedTuple):
+    """One row of the route table."""
+
+    method: str
+    #: exact path, or a path prefix when it ends in "/".
+    path: str
+    #: ``endpoint`` label on the request metrics.
+    endpoint: str
+    #: name of the handler coroutine method, ``handler(request)``.
+    handler: str
+    #: router admission lane; ``None`` when the router answers the
+    #: request itself instead of proxying it to a shard.
+    lane: Optional[int]
+    #: router job key: requests with equal keys land on one shard.
+    job_key: Optional[Callable[[_HttpRequest], str]]
+
+    def serves_path(self, path: str) -> bool:
+        if self.path.endswith("/"):
+            return path.startswith(self.path)
+        return path == self.path
+
+
+#: The route table.  Lane order is the admission priority: placement
+#: always answers; warm work is expected to hit a shard cache; cold work
+#: is first to shed.  Simulate is the one dynamic lane: the router
+#: promotes a simulate whose job key completed before to warm.
+ENDPOINTS: tuple[Endpoint, ...] = (
+    Endpoint("GET", "/healthz", "healthz", "_get_healthz", None, None),
+    Endpoint("GET", "/metrics", "metrics", "_get_metrics", None, None),
+    Endpoint("POST", "/v1/placement", "placement", "_post_placement",
+             LANE_PLACEMENT, lambda r: placement_job_key(r.json())),
+    Endpoint("POST", "/v1/simulate", "simulate", "_post_simulate",
+             LANE_COLD, lambda r: simulate_job_key(r.json())),
+    # Warm lane: tuned profiles persist in the shard's result cache, so
+    # repeat requests are profile-store hits — and a first-time tuning
+    # run is epoch-bounded, nothing like a cold full-grid simulate.
+    # Keyed by the profile digest so identical requests land on one
+    # shard's single-flight.
+    Endpoint("POST", "/v1/autotune", "autotune", "_post_autotune",
+             LANE_WARM, lambda r: f"autotune:{autotune_job_key(r.json())}"),
+    # Uploads are admission-controlled as cold work: a flood of trace
+    # uploads must never starve placement or warm simulate traffic.
+    Endpoint("POST", "/v1/traces", "traces", "_post_traces", LANE_COLD,
+             lambda r: f"trace:{r.query.get('name') or '<unnamed>'}"),
+    Endpoint("GET", "/v1/traces", "traces", "_get_traces", LANE_WARM,
+             lambda r: "traces:list"),
+    Endpoint("GET", PROFILE_PREFIX, "profile", "_get_profile", LANE_WARM,
+             lambda r: f"profile:{profile_workload(r)}"),
+)
+
+
+def route_for(method: str, path: str) -> Endpoint:
+    """The :data:`ENDPOINTS` row serving ``method path``.
+
+    Raises a 405 :class:`ServeError` when rows serve the path but not
+    the method, and a 404 when no row serves the path.
+    """
+    rows = [row for row in ENDPOINTS if row.serves_path(path)]
+    for row in rows:
+        if row.method == method:
+            return row
+    if rows:
+        raise ServeError(f"method {method} not allowed for {path}",
+                         status=405)
+    raise ServeError(f"no route {path}", status=404)
+
+
+class FrontEnd:
+    """The HTTP front end shared by the daemon and the cluster router:
+    listener lifecycle, connection handling, the trace scope, routing
+    through :data:`ENDPOINTS`, deadlines and the error-to-status
+    mapping.  Subclasses supply the handlers and the small hooks below.
+    """
+
+    #: span wrapping each request while tracing.
+    span_name = "http.request"
+    span_cat = "http"
+    #: how long :class:`BackgroundApp` waits for :meth:`start`.
+    startup_timeout_s = 30.0
+    #: what a failed background start calls this front end.
+    kind = "daemon"
+
+    def __init__(self, config: ServeConfig) -> None:
+        self.config = config
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[asyncio.Task] = set()
 
@@ -304,15 +443,20 @@ class ServeApp:
         return f"http://{self.config.host}:{self.port}"
 
     async def start(self) -> None:
-        await self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-        )
+        """Bring up what serves requests, then :meth:`_listen`."""
+        raise NotImplementedError
 
     async def stop(self) -> None:
-        """Graceful shutdown: close the listener, let in-flight
-        connections finish (bounded by ``drain_timeout_s``), then
-        drain the service's jobs."""
+        """:meth:`_close_listener`, then shut down what served."""
+        raise NotImplementedError
+
+    async def _listen(self) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.config.host, self.config.port)
+
+    async def _close_listener(self) -> None:
+        """Close the listener, then let in-flight connections finish
+        (bounded by ``drain_timeout_s``)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -322,24 +466,54 @@ class ServeApp:
         if pending and self.config.drain_timeout_s > 0:
             await asyncio.wait(pending,
                                timeout=self.config.drain_timeout_s)
-        await self.service.stop()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
+    def run_until_signalled(self, ready_message: bool = True) -> None:
+        """Start, serve until SIGTERM/SIGINT, then drain and stop —
+        an orderly exit instead of an asyncio traceback."""
+
+        async def main() -> None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+            stop_requested = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            handled_signals = []
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(signum, stop_requested.set)
+                    handled_signals.append(signum)
+                except (NotImplementedError, RuntimeError):
+                    # Non-Unix event loop: fall back to KeyboardInterrupt.
+                    pass
+            if ready_message:
+                self._announce_listening()
+            try:
+                await stop_requested.wait()
+                if ready_message:
+                    self._announce_draining()
+            finally:
+                await self.stop()
+                for signum in handled_signals:
+                    loop.remove_signal_handler(signum)
+            if ready_message:
+                self._announce_stopped()
+
+        try:
+            asyncio.run(main())
+        except KeyboardInterrupt:  # pragma: no cover - non-Unix fallback
+            pass
+
+    def _announce_listening(self) -> None:
+        """Hooks: the ready, draining and stopped log lines."""
+        raise NotImplementedError
+
+    def _announce_draining(self) -> None:
+        raise NotImplementedError
+
+    def _announce_stopped(self) -> None:
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # protocol
     # ------------------------------------------------------------------
-
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> Optional[_HttpRequest]:
-        return await read_http_request(
-            reader, self.config.max_body_bytes,
-            idle_timeout_s=self.config.header_read_timeout_s)
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -350,14 +524,11 @@ class ServeApp:
         request = None
         try:
             try:
-                request = await self._read_request(reader)
+                request = await read_http_request(
+                    reader, self.config.max_body_bytes,
+                    idle_timeout_s=self.config.header_read_timeout_s)
             except ServeError as exc:
-                body = dict(exc.payload)
-                body["error"] = str(exc)
-                response = _HttpResponse.json(
-                    body, status=exc.status or 400
-                )
-                writer.write(response.encode())
+                writer.write(_HttpResponse.error(exc).encode())
                 await writer.drain()
                 if exc.status == 413:
                     await drain_rejected_body(
@@ -381,37 +552,8 @@ class ServeApp:
             except (ConnectionError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-
-    def _route(self, request: _HttpRequest):
-        """Return ``(endpoint_label, handler coroutine factory)``."""
-        path, method = request.path, request.method
-        if path == "/healthz" and method == "GET":
-            return "healthz", lambda: self._get_healthz()
-        if path == "/metrics" and method == "GET":
-            return "metrics", lambda: self._get_metrics()
-        if path == "/v1/placement" and method == "POST":
-            return "placement", lambda: self._post_placement(request)
-        if path == "/v1/simulate" and method == "POST":
-            return "simulate", lambda: self._post_simulate(request)
-        if path == "/v1/autotune" and method == "POST":
-            return "autotune", lambda: self._post_autotune(request)
-        if path == "/v1/traces" and method == "POST":
-            return "traces", lambda: self._post_traces(request)
-        if path == "/v1/traces" and method == "GET":
-            return "traces", lambda: self._get_traces()
-        if path.startswith("/v1/profile/") and method == "GET":
-            return "profile", lambda: self._get_profile(request)
-        known = {"/healthz", "/metrics", "/v1/placement", "/v1/simulate",
-                 "/v1/autotune", "/v1/traces"}
-        if path in known or path.startswith("/v1/profile/"):
-            return "other", None  # right path, wrong method
-        return "other", False  # unknown path
-
     async def _respond(self, request: _HttpRequest) -> _HttpResponse:
-        """Trace-scope wrapper: one ``http.request`` span per request.
+        """Trace-scope wrapper: one :attr:`span_name` span per request.
 
         The client's ``X-Trace-Id`` (or a fresh id when tracing is on)
         is bound to the handling context so every span below — service,
@@ -426,7 +568,7 @@ class ServeApp:
         token = obs_trace.set_trace_id(trace_id)
         try:
             with obs_trace.lane():
-                with obs_trace.span("http.request", cat="http",
+                with obs_trace.span(self.span_name, cat=self.span_cat,
                                     method=request.method,
                                     path=request.path) as span:
                     response = await self._dispatch(request)
@@ -437,8 +579,8 @@ class ServeApp:
         return response
 
     async def _dispatch(self, request: _HttpRequest) -> _HttpResponse:
-        service = self.service
-        endpoint, handler = self._route(request)
+        """Route, bound by the deadline, map errors to statuses, and
+        record the request metrics."""
         loop = asyncio.get_running_loop()
         started = loop.time()
         timeout = self.config.request_timeout_s
@@ -446,56 +588,98 @@ class ServeApp:
         if hint is not None:
             timeout = min(timeout, hint)
         request.deadline = time.monotonic() + timeout
-        if handler is None:
+        endpoint = "other"
+        try:
+            route = route_for(request.method, request.path)
+            endpoint = route.endpoint
+            response = await asyncio.wait_for(
+                self._call(route, request), timeout=timeout)
+        except asyncio.TimeoutError:
+            self._on_timeout()
             response = _HttpResponse.json(
-                {"error": f"method {request.method} not allowed "
-                          f"for {request.path}"}, status=405)
-        elif handler is False:
+                {"error": f"request timed out after {timeout}s"},
+                status=504)
+        except ServeError as exc:
+            response = _HttpResponse.error(exc)
+        except Exception as exc:  # noqa: BLE001 - daemon boundary
             response = _HttpResponse.json(
-                {"error": f"no route {request.path}"}, status=404)
-        else:
-            try:
-                response = await asyncio.wait_for(
-                    handler(), timeout=timeout,
-                )
-            except asyncio.TimeoutError:
-                service.m_timeouts.inc()
-                response = _HttpResponse.json(
-                    {"error": f"request timed out after {timeout}s"},
-                    status=504,
-                )
-            except ServeError as exc:
-                headers = {}
-                if exc.retry_after is not None:
-                    headers["Retry-After"] = (
-                        f"{max(exc.retry_after, 0.0):g}"
-                    )
-                body = dict(exc.payload)
-                body["error"] = str(exc)
-                response = _HttpResponse.json(
-                    body, status=exc.status or 400,
-                    headers=headers,
-                )
-            except Exception as exc:  # noqa: BLE001 - daemon boundary
-                response = _HttpResponse.json(
-                    {"error": f"internal error: "
-                              f"{type(exc).__name__}: {exc}"},
-                    status=500,
-                )
-        service.m_requests.inc(endpoint=endpoint,
-                               status=str(response.status))
-        service.m_latency.observe(loop.time() - started,
-                                  endpoint=endpoint)
+                {"error": f"internal error: "
+                          f"{type(exc).__name__}: {exc}"},
+                status=500)
+        self._observe(endpoint, request, response, loop.time() - started)
         return response
+
+    async def _call(self, route: Endpoint,
+                    request: _HttpRequest) -> _HttpResponse:
+        return await getattr(self, route.handler)(request)
+
+    def _on_timeout(self) -> None:
+        """Hook: a request outlived its deadline."""
+
+    def _observe(self, endpoint: str, request: _HttpRequest,
+                 response: _HttpResponse, elapsed_s: float) -> None:
+        """Hook: record one answered request's metrics."""
+        raise NotImplementedError
+
+
+class ServeApp(FrontEnd):
+    """The daemon: a :class:`PlacementService` behind an asyncio server."""
+
+    def __init__(self, config: Optional[ServeConfig] = None) -> None:
+        super().__init__(config or ServeConfig())
+        self.service = PlacementService(self.config)
+
+    async def start(self) -> None:
+        await self.service.start()
+        await self._listen()
+
+    async def stop(self) -> None:
+        """Graceful shutdown: close the listener, let in-flight
+        connections finish (bounded by ``drain_timeout_s``), then
+        drain the service's jobs."""
+        await self._close_listener()
+        await self.service.stop()
+
+    def _announce_listening(self) -> None:
+        cache_dir = self.service.health()["cache_dir"]
+        log_event(
+            "serve.listening",
+            message=(f"repro.serve listening on {self.base_url} "
+                     f"(cache: {cache_dir})"),
+            url=self.base_url, cache_dir=cache_dir, stream=sys.stdout)
+
+    def _announce_draining(self) -> None:
+        inflight = len(self.service._flight)
+        log_event(
+            "serve.draining",
+            message=("repro.serve draining "
+                     f"({inflight} job(s) in flight, timeout "
+                     f"{self.config.drain_timeout_s:g}s)..."),
+            inflight=inflight,
+            drain_timeout_s=self.config.drain_timeout_s,
+            stream=sys.stdout)
+
+    def _announce_stopped(self) -> None:
+        log_event("serve.stopped", message="repro.serve stopped cleanly",
+                  stream=sys.stdout)
+
+    def _on_timeout(self) -> None:
+        self.service.m_timeouts.inc()
+
+    def _observe(self, endpoint: str, request: _HttpRequest,
+                 response: _HttpResponse, elapsed_s: float) -> None:
+        self.service.m_requests.inc(endpoint=endpoint,
+                                    status=str(response.status))
+        self.service.m_latency.observe(elapsed_s, endpoint=endpoint)
 
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
 
-    async def _get_healthz(self) -> _HttpResponse:
+    async def _get_healthz(self, request: _HttpRequest) -> _HttpResponse:
         return _HttpResponse.json(self.service.health())
 
-    async def _get_metrics(self) -> _HttpResponse:
+    async def _get_metrics(self, request: _HttpRequest) -> _HttpResponse:
         text = self.service.metrics_text()
         return _HttpResponse(200, text.encode("utf-8"),
                              content_type=METRICS_CONTENT_TYPE)
@@ -528,14 +712,11 @@ class ServeApp:
         )
         return _HttpResponse.json(result)
 
-    async def _get_traces(self) -> _HttpResponse:
+    async def _get_traces(self, request: _HttpRequest) -> _HttpResponse:
         return _HttpResponse.json(self.service.list_traces())
 
     async def _get_profile(self, request: _HttpRequest) -> _HttpResponse:
-        workload = request.path[len("/v1/profile/"):]
-        if not workload or "/" in workload:
-            raise ServeError(f"bad profile path {request.path!r}",
-                             status=404)
+        workload = profile_workload(request)
         query = request.query
         accesses: Optional[int] = None
         if "accesses" in query:
@@ -566,79 +747,21 @@ def run(config: Optional[ServeConfig] = None,
     (bounded by ``drain_timeout_s``), flush results to the cache,
     exit 0 — no asyncio traceback.
     """
-    app = ServeApp(config)
-
-    async def main() -> None:
-        await app.start()
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        handled_signals = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-                handled_signals.append(signum)
-            except (NotImplementedError, RuntimeError):
-                # Non-Unix event loop: fall back to KeyboardInterrupt.
-                pass
-        if ready_message:
-            cache_dir = app.service.health()["cache_dir"]
-            log_event(
-                "serve.listening",
-                message=(f"repro.serve listening on {app.base_url} "
-                         f"(cache: {cache_dir})"),
-                url=app.base_url, cache_dir=cache_dir,
-                stream=sys.stdout,
-            )
-        assert app._server is not None
-        server_task = asyncio.ensure_future(app._server.serve_forever())
-        try:
-            await stop_requested.wait()
-            if ready_message:
-                inflight = len(app.service._flight)
-                log_event(
-                    "serve.draining",
-                    message=("repro.serve draining "
-                             f"({inflight} job(s) in flight, timeout "
-                             f"{app.config.drain_timeout_s:g}s)..."),
-                    inflight=inflight,
-                    drain_timeout_s=app.config.drain_timeout_s,
-                    stream=sys.stdout,
-                )
-        finally:
-            server_task.cancel()
-            try:
-                await server_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            await app.stop()
-            for signum in handled_signals:
-                loop.remove_signal_handler(signum)
-        if ready_message:
-            log_event("serve.stopped",
-                      message="repro.serve stopped cleanly",
-                      stream=sys.stdout)
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - non-Unix fallback
-        pass
+    ServeApp(config).run_until_signalled(ready_message)
 
 
-class BackgroundServer:
-    """A ServeApp on a dedicated event-loop thread.
+class BackgroundApp:
+    """A :class:`FrontEnd` on a dedicated event-loop thread.
 
     The in-process harness the integration tests (and anything else
-    embedding the daemon) use::
-
-        with BackgroundServer(ServeConfig(port=0)) as server:
-            client = ServeClient(server.base_url)
-
-    ``port=0`` lets the OS pick a free port; ``base_url`` reflects the
-    real binding.
+    embedding a front end) use; subclasses name the ``app_class``.
     """
 
+    app_class: type
+    thread_name = "repro-serve"
+
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.app = ServeApp(config)
+        self.app = self.app_class(config)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -648,22 +771,19 @@ class BackgroundServer:
     def base_url(self) -> str:
         return self.app.base_url
 
-    @property
-    def service(self) -> PlacementService:
-        return self.app.service
-
-    def start(self) -> "BackgroundServer":
+    def start(self) -> "BackgroundApp":
         if self._thread is not None:
             return self
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
+            target=self._run, name=self.thread_name, daemon=True)
         self._thread.start()
-        self._ready.wait(timeout=30)
+        timeout = self.app.startup_timeout_s
+        self._ready.wait(timeout=timeout)
         if self._startup_error is not None:
             raise self._startup_error
         if not self._ready.is_set():
-            raise ServeError("daemon failed to start within 30s")
+            raise ServeError(
+                f"{self.app.kind} failed to start within {timeout:g}s")
         return self
 
     def _run(self) -> None:
@@ -687,12 +807,29 @@ class BackgroundServer:
             return
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=30)
+        self._thread.join(timeout=self.app.startup_timeout_s)
         self._thread = None
         self._loop = None
 
-    def __enter__(self) -> "BackgroundServer":
+    def __enter__(self) -> "BackgroundApp":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class BackgroundServer(BackgroundApp):
+    """A :class:`ServeApp` on a dedicated event-loop thread::
+
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            client = ServeClient(server.base_url)
+
+    ``port=0`` lets the OS pick a free port; ``base_url`` reflects the
+    real binding.
+    """
+
+    app_class = ServeApp
+
+    @property
+    def service(self) -> PlacementService:
+        return self.app.service

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.errors import WorkloadError
+from repro.core.errors import ReproError, WorkloadError
+from repro.obs.log import log_event
 from repro.workloads.backprop import BackpropWorkload
 from repro.workloads.base import TraceWorkload
 from repro.workloads.bfs import BfsWorkload
@@ -117,13 +118,15 @@ def get_workload(name: str) -> TraceWorkload:
 
 def ingested_workload_names() -> tuple[str, ...]:
     """Canonical names of registered external traces (best effort:
-    empty when no registry is reachable)."""
+    empty, with a warning logged, when no registry is reachable)."""
     try:
         from repro.ingest import default_registry
         registry = default_registry()
         records = (registry.record(n) for n in registry.names())
         return tuple(r.canonical for r in records if r is not None)
-    except Exception:
+    except (OSError, ReproError) as exc:
+        log_event("workloads.registry_unavailable", level="warning",
+                  error=f"{type(exc).__name__}: {exc}")
         return ()
 
 

@@ -297,21 +297,20 @@ class TestClusterClassification:
                             json.dumps(payload).encode())
 
     def test_autotune_routes_to_warm_lane(self):
-        from repro.serve.cluster import LANE_WARM, RouterApp
+        from repro.serve.admission import LANE_WARM
+        from repro.serve.http import route_for
 
-        router = RouterApp(ServeConfig(shards=2, port=0))
         request = self.make_request(
             {"workload": "xsbench", "topology": "chiplet-2"})
-        endpoint, _ = router._route(request)
-        assert endpoint == "autotune"
-        lane, key = router._classify("autotune", request)
-        assert lane == LANE_WARM
+        route = route_for(request.method, request.path)
+        assert route.endpoint == "autotune"
+        assert route.lane == LANE_WARM
+        key = route.job_key(request)
         assert key.startswith("autotune:")
         # identical payloads share a key (single-flight on one shard);
         # different configs must not collide.
-        _, again = router._classify("autotune", request)
-        assert again == key
-        _, other = router._classify("autotune", self.make_request(
+        assert route.job_key(request) == key
+        other = route.job_key(self.make_request(
             {"workload": "xsbench", "topology": "chiplet-4"}))
         assert other != key
 

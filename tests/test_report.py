@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.experiments
 from repro.experiments import report
 
 
@@ -17,11 +18,17 @@ class TestReportGenerator:
                       "Extension — CPU co-tenancy"):
             assert title in fast_report
 
+    def test_sections_cover_every_experiment(self):
+        modules = {module.__name__.rpartition(".")[2]
+                   for module, _, _ in report._sections(fast=True)}
+        assert modules == set(repro.experiments.__all__)
+
     def test_contains_rendered_exhibits(self, fast_report):
         assert "30C-70B" in fast_report            # fig 3 columns
         assert "BW ratio" in fast_report           # fig 1
         assert "ORACLE-10%" in fast_report         # fig 8
         assert "migrate-from-all-CO" in fast_report
+        assert "tuned-speedup" in fast_report     # chiplet extension
 
     def test_markdown_structure(self, fast_report):
         assert fast_report.startswith("# Reproduction report")

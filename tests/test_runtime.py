@@ -1,5 +1,7 @@
 """CUDA-shaped runtime: cuda_malloc hints, GetAllocation, launch."""
 
+import dataclasses
+
 import pytest
 
 from conftest import TEST_ACCESSES
@@ -8,8 +10,9 @@ from repro.core.units import PAGE_SIZE
 from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline
 from repro.policies.annotated import PlacementHint
-from repro.profiling.profiler import PageAccessProfiler
+from repro.profiling.profiler import PageAccessProfiler, WorkloadProfile
 from repro.runtime.cuda import CudaRuntime
+from repro.runtime import hints as hints_module
 from repro.runtime.hints import get_allocation, hints_from_profile
 from repro.workloads import get_workload
 
@@ -107,6 +110,48 @@ class TestHintsFromProfile:
         assert set(hints) == {
             s.name for s in workload.data_structures("graph1M")
         }
+
+    def test_structure_absent_from_profile_gets_zero_hotness(
+            self, monkeypatch):
+        workload = get_workload("bfs")
+        profile = PageAccessProfiler().profile(
+            workload, n_accesses=TEST_ACCESSES
+        )
+        absent = profile.structures[0].name
+        profile = dataclasses.replace(profile, structures=tuple(
+            dataclasses.replace(s, name="renamed") if s.name == absent
+            else s for s in profile.structures
+        ))
+        seen = {}
+
+        def recording_get_allocation(sizes, hotness, *args, **kwargs):
+            seen["hotness"] = list(hotness)
+            return get_allocation(sizes, hotness, *args, **kwargs)
+
+        monkeypatch.setattr(hints_module, "get_allocation",
+                            recording_get_allocation)
+        hints = hints_from_profile(workload, profile, TABLES,
+                                   workload.footprint_bytes() // 10)
+        names = [s.name for s in workload.data_structures()]
+        assert absent in hints
+        assert seen["hotness"][names.index(absent)] == 0.0
+        assert all(h > 0.0 for i, h in enumerate(seen["hotness"])
+                   if names[i] != absent)
+
+    def test_profile_lookup_bug_propagates(self, monkeypatch):
+        workload = get_workload("bfs")
+        profile = PageAccessProfiler().profile(
+            workload, n_accesses=TEST_ACCESSES
+        )
+
+        def broken_lookup(self, name):
+            raise TypeError("profile lookup bug")
+
+        monkeypatch.setattr(WorkloadProfile, "structure_by_name",
+                            broken_lookup)
+        with pytest.raises(TypeError, match="profile lookup bug"):
+            hints_from_profile(workload, profile, TABLES,
+                               workload.footprint_bytes() // 10)
 
 
 class TestCudaRuntime:

@@ -37,6 +37,7 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
+from repro.serve.http import ENDPOINTS
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnraisableExceptionWarning")
@@ -185,6 +186,63 @@ def test_trace_id_propagates_through_router(cluster):
         assert response.getheader("X-Trace-Id") == "cafef00dcafef00d"
     finally:
         conn.close()
+
+
+# ---------------------------------------------------------------------------
+# route parity: both front ends answer from the one endpoint table
+# ---------------------------------------------------------------------------
+
+
+def _row_path(row) -> str:
+    # A bad query on the profile row answers 400 without profiling.
+    if row.path.endswith("/"):
+        return row.path + "bfs?accesses=bad"
+    return row.path
+
+
+def _route_cases() -> list:
+    cases = [(row.method, _row_path(row)) for row in ENDPOINTS]
+    served: dict[str, set] = {}
+    for row in ENDPOINTS:
+        served.setdefault(_row_path(row), set()).add(row.method)
+    for path, methods in served.items():
+        cases += [(method, path) for method in ("GET", "POST", "DELETE")
+                  if method not in methods]
+    cases += [("GET", "/v1/nope"), ("POST", "/v1/nope"),
+              ("GET", "/v1/profile/")]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def single_client(tmp_path_factory):
+    cfg = ServeConfig(
+        port=0, cache_dir=str(tmp_path_factory.mktemp("parity-cache")))
+    with BackgroundServer(cfg) as server:
+        yield ServeClient(server.base_url)
+
+
+def _status_and_error(client, method, path):
+    status, _, body = client._request(method, path)
+    error = json.loads(body).get("error") if status >= 400 else None
+    return status, error
+
+
+@pytest.mark.parametrize(("method", "path"), _route_cases(),
+                         ids=lambda value: value)
+def test_route_parity_with_single_daemon(single_client, client,
+                                         method, path):
+    single = _status_and_error(single_client, method, path)
+    routed = _status_and_error(client, method, path)
+    assert routed == single
+    row_methods = {row.method for row in ENDPOINTS
+                   if _row_path(row) == path}
+    if path in ("/v1/nope", "/v1/profile/"):
+        assert single[0] == 404
+    elif method not in row_methods:
+        assert single == (405, f"method {method} not allowed for "
+                               f"{path.split('?')[0]}")
+    else:
+        assert single[0] not in (404, 405)
 
 
 # ---------------------------------------------------------------------------

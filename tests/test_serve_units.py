@@ -17,6 +17,7 @@ from repro.core.cachedir import cache_root
 from repro.core.errors import ConfigError, ServeError
 from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline
+from repro.obs.metrics import MetricsRegistry, parse_metrics
 from repro.runner import SweepRunner, default_cache_root
 from repro.serve.batching import (
     BatchSaturatedError,
@@ -24,7 +25,6 @@ from repro.serve.batching import (
     SingleFlight,
 )
 from repro.serve.config import ServeConfig, default_serve_url
-from repro.serve.metrics import MetricsRegistry, parse_metrics
 from repro.serve.service import BadRequestError, PlacementService
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TEST_ACCESSES
+import repro.ingest
 from repro.core.errors import WorkloadError
 from repro.core.units import PAGE_SIZE
 from repro.profiling.cdf import AccessCdf
@@ -15,6 +16,7 @@ from repro.workloads import (
     workload_names,
     workloads_by_suite,
 )
+from repro.workloads.suite import ingested_workload_names
 from repro.workloads.base import (
     AccessPhase,
     DataStructureSpec,
@@ -51,6 +53,25 @@ class TestRegistry:
     def test_unknown_suite(self):
         with pytest.raises(WorkloadError):
             workloads_by_suite("spec2006")
+
+    def test_unreachable_trace_registry_logs_and_is_empty(
+            self, monkeypatch, capsys):
+        def unreachable():
+            raise OSError("registry root unreadable")
+
+        monkeypatch.setattr(repro.ingest, "default_registry", unreachable)
+        assert ingested_workload_names() == ()
+        err = capsys.readouterr().err
+        assert "workloads.registry_unavailable" in err
+        assert "registry root unreadable" in err
+
+    def test_trace_registry_bug_propagates(self, monkeypatch):
+        def broken():
+            raise RuntimeError("registry bug")
+
+        monkeypatch.setattr(repro.ingest, "default_registry", broken)
+        with pytest.raises(RuntimeError, match="registry bug"):
+            ingested_workload_names()
 
     def test_cross_dataset_workloads_have_alternates(self):
         for name in CROSS_DATASET_WORKLOADS:
