@@ -1,15 +1,19 @@
 """The `repro bench` perf harness: measure the vectorized hot paths.
 
-Three benches, each timing the vectorized implementation next to the
-per-access reference loop it replaced
-(:mod:`repro.gpu._reference`), on the same inputs the real pipeline
-produces (raw SM streams, post-cache traces, BW-AWARE zone maps):
+Four benches, each timing the vectorized implementation next to the
+per-access (or per-page) reference loop it replaced
+(:mod:`repro.gpu._reference`, :mod:`repro.vm._reference`), on the same
+inputs the real pipeline produces (raw SM streams, post-cache traces,
+BW-AWARE zone maps and footprints):
 
 * ``filter`` — :meth:`CacheHierarchy.filter_stream_indices` vs the
   OrderedDict replay (and asserts the miss-index streams are
   bit-identical while at it);
 * ``detailed`` / ``banked`` — the engines' ``run`` vs the seed heap
   loops (asserting ``total_time_ns`` agrees to 1e-9 relative);
+* ``placement`` — bulk :meth:`Process.place_all` vs the per-page loop
+  of :mod:`repro.vm._reference` on the BW-AWARE footprint (asserting
+  identical zone maps and frame numbers);
 * ``cold_run`` — wall time of ``run_experiment("bfs",
   policy="BW-AWARE", engine="detailed")`` in a fresh interpreter, the
   end-to-end number a user feels.
@@ -45,6 +49,7 @@ from repro.gpu.cache import CacheHierarchy
 from repro.gpu.config import table1_config
 from repro.gpu.engine import DetailedEngine
 from repro.memory.topology import simulated_baseline
+from repro.vm._reference import place_all_per_page
 from repro.vm.process import Process
 from repro.workloads import get_workload
 from repro.workloads.base import (
@@ -138,13 +143,46 @@ def _geomean(values: list[float]) -> float:
     return float(np.exp(np.mean(np.log(values)))) if values else 0.0
 
 
-def _bwaware_zone_map(workload, dataset, topology, seed):
-    """The zone map ``run_experiment`` would hand the engine."""
+def _bwaware_program(workload, dataset, topology, seed):
+    """The reserved, not yet placed process and the policy
+    ``run_experiment`` would place a BW-AWARE run with."""
     process = Process(topology, seed=seed)
     policy, hints = resolve_policy("BW-AWARE", workload, dataset, None,
                                    seed, topology, process)
     workload.reserve_in(process, dataset, hints=hints)
+    return process, policy
+
+
+def _bwaware_zone_map(workload, dataset, topology, seed):
+    """The zone map ``run_experiment`` would hand the engine."""
+    process, policy = _bwaware_program(workload, dataset, topology, seed)
     return process.place_all(policy)
+
+
+def _bench_placement(name: str, repeats: int, seed: int) -> BenchCase:
+    """Bulk placement vs the per-page reference on one BW-AWARE
+    footprint.  Only the placement call is timed; each repeat places a
+    freshly reserved process."""
+    workload = get_workload(name)
+    topology = simulated_baseline()
+    best = {"new": float("inf"), "old": float("inf")}
+    placed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for _ in range(max(1, repeats)):
+        for side, place in (("new", Process.place_all),
+                            ("old", place_all_per_page)):
+            process, policy = _bwaware_program(workload, "default",
+                                               topology, seed)
+            t0 = time.perf_counter()
+            place(process, policy)
+            best[side] = min(best[side], time.perf_counter() - t0)
+            placed[side] = (process.zone_map(), process.space.frame_map())
+    new_ms, old_ms = best["new"] * 1e3, best["old"] * 1e3
+    return BenchCase(
+        bench="placement", workload=name, new_ms=new_ms, old_ms=old_ms,
+        speedup=old_ms / new_ms,
+        match=all(np.array_equal(a, b)
+                  for a, b in zip(placed["new"], placed["old"])),
+    )
 
 
 def _bench_filter(name: str, n_accesses: int, repeats: int,
@@ -360,6 +398,8 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None,
             report.cases.append(_bench_engine(engine_name, name,
                                               n_accesses, repeats,
                                               seed))
+        note(f"placement {name}")
+        report.cases.append(_bench_placement(name, repeats, seed))
     if not skip_runner:
         note("runner_overhead bfs")
         report.cases.append(_bench_runner_overhead(n_accesses, repeats,
@@ -368,7 +408,7 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None,
         note("cold_run bfs")
         report.cases.append(_bench_cold_run(repeats))
 
-    for bench in ("filter", "detailed", "banked"):
+    for bench in ("filter", "detailed", "banked", "placement"):
         speedups = [case.speedup for case in report.cases
                     if case.bench == bench and case.speedup]
         if speedups:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import PolicyError
 from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
 from repro.policies.bwaware import BwAwarePolicy
@@ -114,6 +116,20 @@ class AnnotatedPolicy(PlacementPolicy):
             return spill_chain(self._co_zone, ctx)
         # BW hint and unannotated allocations both use BW-AWARE.
         return self._fallback.preferred_zones(allocation, page_index, ctx)
+
+    def place_pages(self, allocation: Allocation, page_indices: np.ndarray,
+                    ctx: PlacementContext) -> Optional[np.ndarray]:
+        if self._bo_zone is None or self._co_zone is None:
+            self.prepare((), ctx)
+        hint = coerce_hint(allocation.hint)
+        if hint is PlacementHint.BANDWIDTH_OPTIMIZED:
+            quota = self._bo_quota.get(allocation.alloc_id,
+                                       allocation.n_pages)
+            return np.where(np.asarray(page_indices) < quota,
+                            self._bo_zone, self._co_zone).astype(np.int64)
+        if hint is PlacementHint.CAPACITY_OPTIMIZED:
+            return np.full(len(page_indices), self._co_zone, dtype=np.int64)
+        return self._fallback.place_pages(allocation, page_indices, ctx)
 
     def describe(self) -> str:
         return "ANNOTATED (program hints + BW-AWARE fallback)"

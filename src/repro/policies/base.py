@@ -64,9 +64,19 @@ class PlacementPolicy(abc.ABC):
 
     Lifecycle: the process calls :meth:`prepare` once with the full
     allocation list (GPU programs hoist allocations to kernel start, per
-    the CUDA best-practices guidance the paper cites), then
-    :meth:`preferred_zones` once per page in program order.
+    the CUDA best-practices guidance the paper cites), then, for each
+    allocation, :meth:`place_pages` once — or, when that returns
+    ``None``, :meth:`preferred_zones` once per page in program order.
     """
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that changes the per-page answer without restating
+        # the bulk one must not inherit a bulk answer that no longer
+        # matches it: it is placed page by page instead.
+        if "preferred_zones" in cls.__dict__ \
+                and "place_pages" not in cls.__dict__:
+            cls.place_pages = PlacementPolicy.place_pages
 
     #: short identifier used in reports and the policy registry.
     name: str = "base"
@@ -84,6 +94,23 @@ class PlacementPolicy(abc.ABC):
         zone with a free frame wins; zones absent from the chain are
         appended by the allocator as a final fallback.
         """
+
+    def place_pages(self, allocation: Allocation,
+                    page_indices: np.ndarray,
+                    ctx: PlacementContext) -> Optional[np.ndarray]:
+        """First-choice zone of every page in ``page_indices``, or
+        ``None`` to be placed page by page.
+
+        ``page_indices`` lists the allocation's unmapped pages in
+        ascending order.  An override must return exactly
+        ``preferred_zones(allocation, k, ctx)[0]`` for each listed ``k``
+        and leave the policy state (counters, ``ctx.rng``) exactly as
+        those calls in that order would; the spill chain of each page
+        is ``spill_chain(first, ctx)``.  A policy whose answer depends
+        on ``ctx.free_pages`` between pages, or whose chain is anything
+        else (strict, custom order), keeps the default.
+        """
+        return None
 
     def describe(self) -> str:
         """One-line human description for reports."""

@@ -126,6 +126,16 @@ class BwAwarePolicy(PlacementPolicy):
         zone = min(zone, ctx.n_zones - 1)
         return spill_chain(zone, ctx)
 
+    def place_pages(self, allocation: Allocation, page_indices: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        if self._cumulative is None:
+            self.prepare((), ctx)
+        # One bulk draw is bit-identical to len(page_indices) scalar
+        # draws and leaves the generator in the same state.
+        draws = ctx.rng.random(len(page_indices))
+        zones = np.searchsorted(self._cumulative, draws, side="right")
+        return np.minimum(zones, ctx.n_zones - 1)
+
     def describe(self) -> str:
         if self._fractions is not None and len(self._fractions) == 2:
             return f"BW-AWARE {ratio_label(self._fractions)}"
@@ -141,7 +151,8 @@ class CounterBwAwarePolicy(BwAwarePolicy):
     page to the zone whose achieved share lags its target share the
     most.  Exact at every prefix, at the cost of per-task state — the
     trade-off the paper avoids by using random draws on the allocation
-    fast path.
+    fast path.  Placed page by page: overriding :meth:`preferred_zones`
+    alone drops the inherited random-draw :meth:`place_pages`.
     """
 
     name = "BW-AWARE-COUNTER"

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import PolicyError
 from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
 
@@ -59,6 +61,14 @@ class InterleavePolicy(PlacementPolicy):
         choice = zones[self._counter % len(zones)]
         self._counter += 1
         return spill_chain(choice, ctx)
+
+    def place_pages(self, allocation: Allocation, page_indices: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        zones = np.asarray(self._zones(ctx), dtype=np.int64)
+        count = len(page_indices)
+        turns = (self._counter + np.arange(count)) % zones.size
+        self._counter += count
+        return zones[turns]
 
     def describe(self) -> str:
         if self._subset is not None:

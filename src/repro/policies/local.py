@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
 
 if TYPE_CHECKING:
@@ -26,6 +28,10 @@ class LocalPolicy(PlacementPolicy):
     def preferred_zones(self, allocation: Allocation, page_index: int,
                         ctx: PlacementContext) -> Sequence[int]:
         return spill_chain(ctx.local_zone, ctx)
+
+    def place_pages(self, allocation: Allocation, page_indices: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        return np.full(len(page_indices), ctx.local_zone, dtype=np.int64)
 
     def describe(self) -> str:
         return "LOCAL (latency-optimized Linux default)"

@@ -160,6 +160,12 @@ class OnlinePolicy(PlacementPolicy):
             allocation, page_index, ctx
         )
 
+    def place_pages(self, allocation, page_indices,
+                    ctx: PlacementContext):
+        return self.initial_policy().place_pages(
+            allocation, page_indices, ctx
+        )
+
     # -- canonical description -----------------------------------------
 
     def options(self) -> dict:

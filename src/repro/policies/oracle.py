@@ -112,8 +112,7 @@ class OraclePolicy(PlacementPolicy):
             cursor += take
         return decision
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
+    def _offset(self, allocation: Allocation) -> int:
         if self._decision is None:
             raise PolicyError("OraclePolicy used before prepare()")
         offset = self._offsets.get(allocation.alloc_id)
@@ -121,8 +120,17 @@ class OraclePolicy(PlacementPolicy):
             raise PolicyError(
                 f"allocation {allocation.name!r} not seen at prepare()"
             )
-        zone = int(self._decision[offset + page_index])
+        return offset
+
+    def preferred_zones(self, allocation: Allocation, page_index: int,
+                        ctx: PlacementContext) -> Sequence[int]:
+        zone = int(self._decision[self._offset(allocation) + page_index])
         return spill_chain(zone, ctx)
+
+    def place_pages(self, allocation: Allocation, page_indices: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        offset = self._offset(allocation)
+        return self._decision[offset + page_indices].astype(np.int64)
 
     def describe(self) -> str:
         return "ORACLE (perfect page-access knowledge, two-phase)"

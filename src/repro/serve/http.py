@@ -215,11 +215,12 @@ async def drain_rejected_body(reader: asyncio.StreamReader,
 
 
 def _spooled_path(method: str, target: str) -> bool:
-    """Trace uploads stream to a spooled temp file instead of one
-    bytes object — their bodies are raw octet-stream payloads bounded
-    only by ``max_body_bytes``."""
-    return (method.upper() == "POST"
-            and urlsplit(target).path == "/v1/traces")
+    """Whether the :data:`ENDPOINTS` row for this request spools its
+    body; an unknown method or path is not spooled."""
+    try:
+        return route_for(method.upper(), urlsplit(target).path).spooled
+    except ServeError:
+        return False
 
 
 async def read_http_request(reader: asyncio.StreamReader,
@@ -354,6 +355,10 @@ class Endpoint(NamedTuple):
     lane: Optional[int]
     #: router job key: requests with equal keys land on one shard.
     job_key: Optional[Callable[[_HttpRequest], str]]
+    #: the body streams to a spooled temp file instead of one bytes
+    #: object: trace uploads are raw octet-stream payloads bounded only
+    #: by ``max_body_bytes``.
+    spooled: bool = False
 
     def serves_path(self, path: str) -> bool:
         if self.path.endswith("/"):
@@ -382,7 +387,8 @@ ENDPOINTS: tuple[Endpoint, ...] = (
     # Uploads are admission-controlled as cold work: a flood of trace
     # uploads must never starve placement or warm simulate traffic.
     Endpoint("POST", "/v1/traces", "traces", "_post_traces", LANE_COLD,
-             lambda r: f"trace:{r.query.get('name') or '<unnamed>'}"),
+             lambda r: f"trace:{r.query.get('name') or '<unnamed>'}",
+             spooled=True),
     Endpoint("GET", "/v1/traces", "traces", "_get_traces", LANE_WARM,
              lambda r: "traces:list"),
     Endpoint("GET", PROFILE_PREFIX, "profile", "_get_profile", LANE_WARM,

@@ -123,6 +123,52 @@ class AddressSpace:
         self._frame[idx] = -1
         return mapping
 
+    def _range(self, allocation: Allocation) -> slice:
+        start = allocation.first_vpn - self._base_vpn
+        stop = start + allocation.n_pages
+        if start < 0 or stop > len(self._zone):
+            raise TranslationError(
+                f"allocation {allocation.name!r} outside managed range")
+        return slice(start, stop)
+
+    def unmapped_pages(self, allocation: Allocation) -> np.ndarray:
+        """Indices (within ``allocation``) of its unmapped pages,
+        ascending."""
+        return np.flatnonzero(self._zone[self._range(allocation)]
+                              == UNMAPPED)
+
+    def map_range(self, allocation: Allocation, page_indices: np.ndarray,
+                  zones: np.ndarray, frames: np.ndarray) -> None:
+        """Install mappings for pages ``page_indices`` of ``allocation``
+        (``zones[k]``/``frames[k]`` back page ``page_indices[k]``)."""
+        page_indices = np.asarray(page_indices, dtype=np.int64)
+        if not page_indices.size:
+            return
+        if page_indices.min() < 0 \
+                or page_indices.max() >= allocation.n_pages:
+            raise TranslationError(
+                f"page index outside allocation {allocation.name!r}")
+        idx = self._range(allocation).start + page_indices
+        mapped = self._zone[idx] != UNMAPPED
+        if mapped.any():
+            raise TranslationError(
+                f"vpn {allocation.first_vpn + int(page_indices[mapped][0])}"
+                " is already mapped")
+        self._zone[idx] = zones
+        self._frame[idx] = frames
+
+    def unmap_range(self, allocation: Allocation
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Remove every mapping of ``allocation``; returns the zones and
+        frames of the pages that were mapped, in page order."""
+        span = self._range(allocation)
+        mapped = np.flatnonzero(self._zone[span] != UNMAPPED) + span.start
+        zones = self._zone[mapped].astype(np.int64)
+        frames = self._frame[mapped].copy()
+        self._zone[mapped] = UNMAPPED
+        self._frame[mapped] = -1
+        return zones, frames
+
     def is_mapped(self, vpn: int) -> bool:
         idx = vpn - self._base_vpn
         if idx < 0 or idx >= len(self._zone):
@@ -161,13 +207,20 @@ class AddressSpace:
         and the analytic engines consume: entry ``k`` is the zone backing
         the ``k``-th page of the program footprint.
         """
-        pieces = []
-        for allocation in self._allocations:
-            start = allocation.first_vpn - self._base_vpn
-            pieces.append(self._zone[start:start + allocation.n_pages])
-        if not pieces:
-            return np.empty(0, dtype=np.int16)
-        flat = np.concatenate(pieces)
-        if flat.size and flat.min() == UNMAPPED:
-            raise TranslationError("zone_map() on partially mapped space")
+        return self._footprint(self._zone, np.int16, "zone_map")
+
+    def frame_map(self) -> np.ndarray:
+        """Frame number per allocated page, same order as
+        :meth:`zone_map` (each frame is within that page's zone)."""
+        return self._footprint(self._frame, np.int64, "frame_map")
+
+    def _footprint(self, table: np.ndarray, dtype, what: str
+                   ) -> np.ndarray:
+        if not self._allocations:
+            return np.empty(0, dtype=dtype)
+        flat = np.concatenate([table[self._range(allocation)]
+                               for allocation in self._allocations])
+        # Unmapped entries hold -1 in both tables.
+        if flat.size and flat.min() < 0:
+            raise TranslationError(f"{what}() on partially mapped space")
         return flat

@@ -13,21 +13,29 @@ paper:
 * the **bulk style** used by the experiment harness — reserve every
   allocation, then :meth:`place_all` with one policy, which gives
   whole-program policies (the oracle) their two-phase ``prepare`` hook.
+
+Both fault pages in through :meth:`Process.fault_in`, which places an
+allocation in a few array passes (policy ``place_pages``, then
+:meth:`PhysicalMemory.allocate_bulk`, then
+:meth:`AddressSpace.map_range`).  A policy that only answers per page is
+placed by :func:`repro.vm._reference.fault_in_per_page`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.core.errors import AllocationError, PolicyError
+from repro.core.errors import OutOfMemoryError, PolicyError
 from repro.memory.acpi import FirmwareTables, enumerate_tables
 from repro.memory.topology import SystemTopology
+from repro.obs import trace as obs_trace
 from repro.policies.base import PlacementContext, PlacementPolicy
 from repro.policies.local import LocalPolicy
+from repro.vm._reference import fault_in_per_page
 from repro.vm.address_space import AddressSpace
-from repro.vm.allocator import PhysicalMemory
+from repro.vm.allocator import BulkPlacement, PhysicalMemory
 from repro.vm.page import Allocation
 
 
@@ -52,6 +60,9 @@ class Process:
             rng=np.random.default_rng(seed),
         )
         self._prepared_policies: set[int] = set()
+        #: pages placed outside their first-choice zone, over every
+        #: fault of this process.
+        self.spilled_pages = 0
 
     @property
     def context(self) -> PlacementContext:
@@ -80,7 +91,8 @@ class Process:
         exactly once (no migration), mirroring the paper's focus on
         initial placement.
         """
-        if any(self.space.is_mapped(vpn) for vpn in allocation.vpns()):
+        if len(self.space.unmapped_pages(allocation)) \
+                != allocation.n_pages:
             raise PolicyError(
                 f"mbind on {allocation.name!r} after pages were placed; "
                 "this model does not migrate pages"
@@ -108,13 +120,31 @@ class Process:
         """Place every page of ``allocation`` using its effective policy."""
         policy = self._vma_policies.get(allocation.alloc_id, self._policy)
         self._ensure_prepared(policy)
-        strict = bool(getattr(policy, "strict", False))
-        for page_index, vpn in enumerate(allocation.vpns()):
-            if self.space.is_mapped(vpn):
-                continue
-            chain = policy.preferred_zones(allocation, page_index, self._ctx)
-            mapping = self.physical.allocate(chain, strict=strict)
-            self.space.map_page(vpn, mapping)
+        pages = self.space.unmapped_pages(allocation)
+        if not pages.size:
+            return
+        # With F free frames left, page-by-page placement consults the
+        # policy for at most F + 1 pages and fails on the last one; ask
+        # for no more, so the policy state stops where it would.
+        pages = pages[:self.physical.total_free_pages() + 1]
+        first = policy.place_pages(allocation, pages, self._ctx)
+        if first is None:
+            fault_in_per_page(self, allocation, policy)
+            return
+        try:
+            placed = self.physical.allocate_bulk(first, self._ctx)
+        except OutOfMemoryError as exc:
+            # The pages before the exhausted one keep their frames, as
+            # page-by-page placement would leave them.
+            self._map(allocation, pages, exc.placed)
+            raise
+        self._map(allocation, pages, placed)
+
+    def _map(self, allocation: Allocation, pages: np.ndarray,
+             placed: BulkPlacement) -> None:
+        self.space.map_range(allocation, pages[:placed.zones.size],
+                             placed.zones, placed.frames)
+        self.spilled_pages += placed.spilled
 
     def _ensure_prepared(self, policy: PlacementPolicy) -> None:
         if id(policy) not in self._prepared_policies:
@@ -136,11 +166,17 @@ class Process:
         if policy is not None:
             self.set_mempolicy(policy)
         active = self._policy
-        active.prepare(self.space.allocations, self._ctx)
-        self._prepared_policies.add(id(active))
-        for allocation in self.space.allocations:
-            self.fault_in(allocation)
-        return self.zone_map()
+        with obs_trace.span("vm.place", cat="vm",
+                            policy=active.name) as span:
+            spilled_before = self.spilled_pages
+            active.prepare(self.space.allocations, self._ctx)
+            self._prepared_policies.add(id(active))
+            for allocation in self.space.allocations:
+                self.fault_in(allocation)
+            zone_map = self.zone_map()
+            span.annotate(pages=int(zone_map.size),
+                          spilled=self.spilled_pages - spilled_before)
+        return zone_map
 
     def zone_map(self) -> np.ndarray:
         """Zone id per footprint page, program order."""
@@ -152,9 +188,7 @@ class Process:
         The virtual range stays reserved (no VA reuse), which keeps
         trace virtual addresses stable across the run.
         """
-        for vpn in allocation.vpns():
-            if self.space.is_mapped(vpn):
-                self.physical.free(self.space.unmap_page(vpn))
+        self.physical.free_many(*self.space.unmap_range(allocation))
 
     def occupancy_fraction(self, zone_id: int) -> float:
         """Fraction of a zone's frames currently used."""

@@ -2,8 +2,13 @@
 
 import pytest
 
+import numpy as np
+
 from repro.core.errors import ConfigError, OutOfMemoryError
+from repro.core.units import GIB, PAGE_SIZE
+from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline
+from repro.policies.base import PlacementContext
 from repro.vm.allocator import PhysicalMemory, ZoneAllocator
 from repro.vm.page import PageMapping
 
@@ -53,6 +58,23 @@ class TestZoneAllocator:
         # Nothing was taken by the failed bulk call.
         assert alloc.free_pages == 3
         assert len(alloc.allocate_many(3)) == 3
+
+    def test_allocate_many_pops_free_list_then_bumps(self):
+        alloc = ZoneAllocator(0, 8)
+        for _ in range(4):
+            alloc.allocate()
+        alloc.free(1)
+        alloc.free(3)
+        assert alloc.allocate_many(3).tolist() == [3, 1, 4]
+
+    def test_free_many_checks_every_frame_first(self):
+        alloc = ZoneAllocator(0, 4)
+        alloc.allocate_many(2)
+        with pytest.raises(ConfigError):
+            alloc.free_many([0, 0])
+        with pytest.raises(ConfigError):
+            alloc.free_many([1, 2])
+        assert alloc.free_pages == 2
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
@@ -132,3 +154,36 @@ class TestPhysicalMemory:
         for _ in range(capacity):
             physical.allocate([0])
         assert not physical.has_space(0)
+
+
+class TestAllocateBulk:
+    def _physical_and_context(self, bo_pages=3, co_pages=4):
+        topology = simulated_baseline(
+            bo_capacity_gib=bo_pages * PAGE_SIZE / GIB,
+            co_capacity_gib=co_pages * PAGE_SIZE / GIB)
+        physical = PhysicalMemory(topology)
+        ctx = PlacementContext(tables=enumerate_tables(topology),
+                               physical=physical,
+                               local_zone=topology.gpu_local_zone)
+        return physical, ctx
+
+    def test_spills_along_chain_and_counts_it(self):
+        physical, ctx = self._physical_and_context()
+        placed = physical.allocate_bulk(np.array([0, 1, 0, 0, 0]), ctx)
+        assert placed.zones.tolist() == [0, 1, 0, 0, 1]
+        assert placed.frames.tolist() == [0, 0, 1, 2, 1]
+        assert placed.spilled == 1
+
+    def test_exhaustion_keeps_earlier_pages_and_raises(self):
+        physical, ctx = self._physical_and_context()
+        with pytest.raises(OutOfMemoryError) as info:
+            physical.allocate_bulk(np.zeros(9, dtype=np.int64), ctx)
+        assert info.value.placed.zones.tolist() == [0, 0, 0, 1, 1, 1, 1]
+        assert info.value.placed.spilled == 4
+        assert physical.total_free_pages() == 0
+
+    def test_unknown_zone_rejected_before_any_frame(self):
+        physical, ctx = self._physical_and_context()
+        with pytest.raises(ConfigError):
+            physical.allocate_bulk(np.array([0, 7]), ctx)
+        assert physical.used_pages(0) == 0

@@ -36,7 +36,7 @@ class TestRunBench:
         benches = {(case.bench, case.workload)
                    for case in tiny_report.cases}
         assert benches == {("filter", "bfs"), ("detailed", "bfs"),
-                           ("banked", "bfs")}
+                           ("banked", "bfs"), ("placement", "bfs")}
 
     def test_vectorized_matches_reference(self, tiny_report):
         assert all(case.match for case in tiny_report.cases)
@@ -49,7 +49,7 @@ class TestRunBench:
             assert case.speedup == pytest.approx(
                 case.old_ms / case.new_ms)
         for key in ("filter_speedup_geomean", "detailed_speedup_geomean",
-                    "banked_speedup_geomean"):
+                    "banked_speedup_geomean", "placement_speedup_geomean"):
             assert tiny_report.summary[key] > 0
 
     def test_json_round_trip(self, tiny_report):

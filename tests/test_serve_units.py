@@ -25,6 +25,7 @@ from repro.serve.batching import (
     SingleFlight,
 )
 from repro.serve.config import ServeConfig, default_serve_url
+from repro.serve.http import ENDPOINTS, _spooled_path
 from repro.serve.service import BadRequestError, PlacementService
 
 
@@ -414,3 +415,21 @@ class TestSimulateValidation:
         )
         salt = service.runner.salt
         assert spec_a.cache_key(salt) == spec_b.cache_key(salt)
+
+
+class TestUploadSpooling:
+    def test_exactly_one_row_spools_its_body(self):
+        spooled = [(row.method, row.path) for row in ENDPOINTS
+                   if row.spooled]
+        assert spooled == [("POST", "/v1/traces")]
+
+    @pytest.mark.parametrize(("method", "target", "expected"), [
+        ("POST", "/v1/traces?name=x", True),
+        ("post", "/v1/traces", True),
+        ("GET", "/v1/traces", False),
+        ("POST", "/v1/simulate", False),
+        ("DELETE", "/v1/traces", False),
+        ("POST", "/v1/nope", False),
+    ])
+    def test_spooling_follows_the_table(self, method, target, expected):
+        assert _spooled_path(method, target) is expected
