@@ -29,6 +29,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.errors import SimulationError
+from repro.gpu.cache import CacheStats, cache_sets
 from repro.gpu.config import GpuConfig
 from repro.gpu.trace import (
     DramTrace,
@@ -39,21 +40,26 @@ from repro.gpu.trace import (
 from repro.memory.topology import SystemTopology
 
 
-class _ReferenceSetAssocCache:
-    """Verbatim port of the seed ``SetAssocCache`` per-access loop.
+class SetAssocCache:
+    """A set-associative LRU cache over line addresses, one access at a time.
 
-    Kept operation for operation (OrderedDict membership +
-    ``move_to_end`` + ``popitem``, per-access :class:`CacheStats`
-    attribute increments through ``self.stats``) so timing it is an
-    honest measurement of what the vectorized kernel replaced.
+    Addresses are *line* numbers (byte address / line size); the cache
+    never sees byte offsets.  ``access`` returns True on hit and updates
+    recency; misses fill (allocate-on-miss, no write-back modeling —
+    DRAM traffic is counted per access, matching a sectored streaming
+    cache).
+
+    This is the seed per-access loop, kept operation for operation
+    (OrderedDict membership + ``move_to_end`` + ``popitem``, per-access
+    :class:`CacheStats` attribute increments through ``self.stats``) so
+    timing it is an honest measurement of what the vectorized kernel
+    replaced.
     """
 
     def __init__(self, size_bytes: int, line_size: int, assoc: int) -> None:
-        from repro.gpu.cache import CacheStats
-
-        n_lines = size_bytes // line_size
+        self.n_sets = cache_sets(size_bytes, line_size, assoc)
         self.assoc = assoc
-        self.n_sets = n_lines // assoc
+        # One LRU-ordered dict per set: keys are line tags.
         self._sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.n_sets)
         ]
@@ -73,6 +79,9 @@ class _ReferenceSetAssocCache:
         cache_set[line_addr] = None
         return False
 
+    def resident_lines(self) -> int:
+        return sum(len(s) for s in self._sets)
+
 
 class ReferenceCacheHierarchy:
     """Per-access OrderedDict replay of the Table 1 cache hierarchy."""
@@ -81,13 +90,13 @@ class ReferenceCacheHierarchy:
         self.config = config
         self.n_channels = n_channels
         self._l1s = [
-            _ReferenceSetAssocCache(config.l1_bytes_per_sm,
-                                    config.line_size, config.l1_assoc)
+            SetAssocCache(config.l1_bytes_per_sm, config.line_size,
+                          config.l1_assoc)
             for _ in range(config.n_sms)
         ]
         self._l2s = [
-            _ReferenceSetAssocCache(config.l2_bytes_per_channel,
-                                    config.line_size, config.l2_assoc)
+            SetAssocCache(config.l2_bytes_per_channel, config.line_size,
+                          config.l2_assoc)
             for _ in range(n_channels)
         ]
 
@@ -108,17 +117,13 @@ class ReferenceCacheHierarchy:
                 append(position)
         return np.asarray(misses, dtype=np.int64)
 
-    def l1_stats(self):
-        from repro.gpu.cache import CacheStats
-
+    def l1_stats(self) -> CacheStats:
         total = CacheStats()
         for cache in self._l1s:
             total = total.merge(cache.stats)
         return total
 
-    def l2_stats(self):
-        from repro.gpu.cache import CacheStats
-
+    def l2_stats(self) -> CacheStats:
         total = CacheStats()
         for cache in self._l2s:
             total = total.merge(cache.stats)

@@ -1,4 +1,4 @@
-"""Set-associative caches and the GPU cache hierarchy.
+"""The GPU cache hierarchy as a whole-stream filter.
 
 The hierarchy filters a raw (SM-issued) line-address stream down to the
 DRAM-level stream the placement study operates on: Figure 6's CDFs count
@@ -8,28 +8,24 @@ The model follows Table 1: a 16 kB L1 per SM (accesses striped across
 SMs round-robin, as warps are) and a memory-side 128 kB L2 slice per
 DRAM channel, indexed by line address.  Replacement is LRU.
 
-``filter_stream_indices`` routes whole streams through the vectorized
-LRU kernel (:mod:`repro.gpu.lru`) instead of the per-access
-OrderedDict walk; the miss-index stream is bit-identical to the
-sequential replay (the original loop survives as
+Each ``filter_stream_indices`` call replays one stream through cold
+caches with the vectorized LRU kernel (:mod:`repro.gpu.lru`).  The
+miss-index stream is bit-identical to a sequential per-access replay;
+that replay survives as
 :class:`repro.gpu._reference.ReferenceCacheHierarchy`, pinned by the
-golden tests).  Scalar ``access`` calls still run the OrderedDict
-path, so the two interoperate: dict state seeds the kernel as its
-warm-start, and the kernel's final state is written back lazily —
-materialized only when a scalar access, flush, or state inspection
-actually needs it.
+golden and property tests.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, SimulationError
 from repro.gpu.config import GpuConfig
-from repro.gpu.lru import lru_filter, lru_final_state
+from repro.gpu.lru import lru_filter
+from repro.obs import trace as obs_trace
 
 #: memoized round-robin SM id pattern, keyed by (n_sms, length).
 _SM_PATTERNS: dict[tuple[int, int], np.ndarray] = {}
@@ -98,6 +94,19 @@ def _set_index(lines: np.ndarray, n_sets: int) -> np.ndarray:
     return lines % lines.dtype.type(n_sets)
 
 
+def cache_sets(size_bytes: int, line_size: int, assoc: int) -> int:
+    """Set count of an ``assoc``-way cache; ``ConfigError`` if none fits."""
+    if size_bytes <= 0 or line_size <= 0 or assoc <= 0:
+        raise ConfigError("cache geometry must be positive")
+    n_lines = size_bytes // line_size
+    if n_lines == 0 or n_lines % assoc:
+        raise ConfigError(
+            f"cache of {size_bytes}B / {line_size}B lines cannot be "
+            f"{assoc}-way"
+        )
+    return n_lines // assoc
+
+
 @dataclass
 class CacheStats:
     """Hit/miss counters for one cache (or one group of slices)."""
@@ -118,65 +127,14 @@ class CacheStats:
                           self.hits + other.hits)
 
 
-class SetAssocCache:
-    """A set-associative LRU cache over line addresses.
-
-    Addresses are *line* numbers (byte address / line size); the cache
-    never sees byte offsets.  ``access`` returns True on hit and updates
-    recency; misses fill (allocate-on-miss, no write-back modeling —
-    DRAM traffic is counted per access, matching a sectored streaming
-    cache).
-    """
-
-    def __init__(self, size_bytes: int, line_size: int, assoc: int) -> None:
-        if size_bytes <= 0 or line_size <= 0 or assoc <= 0:
-            raise ConfigError("cache geometry must be positive")
-        n_lines = size_bytes // line_size
-        if n_lines == 0 or n_lines % assoc:
-            raise ConfigError(
-                f"cache of {size_bytes}B / {line_size}B lines cannot be "
-                f"{assoc}-way"
-            )
-        self.size_bytes = size_bytes
-        self.line_size = line_size
-        self.assoc = assoc
-        self.n_sets = n_lines // assoc
-        # One LRU-ordered dict per set: keys are line tags.
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
-        self.stats = CacheStats()
-
-    def access(self, line_addr: int) -> bool:
-        """Access one line; returns True on hit."""
-        index = line_addr % self.n_sets
-        cache_set = self._sets[index]
-        self.stats.accesses += 1
-        if line_addr in cache_set:
-            cache_set.move_to_end(line_addr)
-            self.stats.hits += 1
-            return True
-        if len(cache_set) >= self.assoc:
-            cache_set.popitem(last=False)
-        cache_set[line_addr] = None
-        return False
-
-    def flush(self) -> None:
-        """Invalidate all lines, keep statistics."""
-        for cache_set in self._sets:
-            cache_set.clear()
-
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-
 class CacheHierarchy:
     """L1-per-SM + memory-side L2, as in Table 1.
 
-    ``filter_stream`` pushes a raw line-address stream through the
-    hierarchy and returns the DRAM-level miss stream.  SM affinity for
+    ``filter_stream`` pushes a raw line-address stream through cold
+    caches and returns the DRAM-level miss stream.  SM affinity for
     L1s is modeled by striping consecutive accesses across SMs, the
     steady-state behaviour of a round-robin warp scheduler.
+    ``l1_stats``/``l2_stats`` total every stream filtered so far.
     """
 
     def __init__(self, config: GpuConfig, n_channels: int) -> None:
@@ -184,130 +142,54 @@ class CacheHierarchy:
             raise ConfigError("n_channels must be positive")
         self.config = config
         self.n_channels = n_channels
-        self._l1s = [
-            SetAssocCache(config.l1_bytes_per_sm, config.line_size,
-                          config.l1_assoc)
-            for _ in range(config.n_sms)
-        ]
-        self._l2s = [
-            SetAssocCache(config.l2_bytes_per_channel, config.line_size,
-                          config.l2_assoc)
-            for _ in range(n_channels)
-        ]
-        # Deferred kernel state: the set-sorted access chains of the
-        # last vectorized filter, not yet written back into the
-        # OrderedDicts.  ``None`` means the dicts are authoritative.
-        self._pending_l1: tuple[np.ndarray, np.ndarray] | None = None
-        self._pending_l2: tuple[np.ndarray, np.ndarray] | None = None
-
-    def access(self, line_addr: int, sm: int) -> bool:
-        """One access from SM ``sm``; True if served on chip."""
-        self._materialize()
-        if self._l1s[sm % len(self._l1s)].access(line_addr):
-            return True
-        slice_index = line_addr % self.n_channels
-        return self._l2s[slice_index].access(line_addr)
-
-    # ----- deferred state plumbing ---------------------------------
-
-    def _materialize(self) -> None:
-        """Write any pending kernel state back into the OrderedDicts."""
-        if self._pending_l1 is not None:
-            self._rebuild(self._l1s, self._pending_l1)
-            self._pending_l1 = None
-        if self._pending_l2 is not None:
-            self._rebuild(self._l2s, self._pending_l2)
-            self._pending_l2 = None
-
-    @staticmethod
-    def _rebuild(caches: list[SetAssocCache],
-                 chain: tuple[np.ndarray, np.ndarray]) -> None:
-        n_sets = caches[0].n_sets
-        groups, lines = lru_final_state(chain[0], chain[1],
-                                        caches[0].assoc)
-        for cache in caches:
-            for cache_set in cache._sets:
-                cache_set.clear()
-        # Residents arrive LRU-to-MRU per set: plain insertion order.
-        for group, line in zip(groups.tolist(), lines.tolist()):
-            caches[group // n_sets]._sets[group % n_sets][line] = None
-
-    def _warm_state(self, caches: list[SetAssocCache],
-                    pending: tuple[np.ndarray, np.ndarray] | None,
-                    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Current contents of ``caches`` in kernel warm-start form."""
-        if pending is not None:
-            return lru_final_state(pending[0], pending[1],
-                                   caches[0].assoc)
-        n_sets = caches[0].n_sets
-        groups: list[int] = []
-        lines: list[int] = []
-        for index, cache in enumerate(caches):
-            base = index * n_sets
-            for set_index, cache_set in enumerate(cache._sets):
-                for line in cache_set:
-                    groups.append(base + set_index)
-                    lines.append(line)
-        if not groups:
-            return None, None
-        return (np.asarray(groups, dtype=np.int64),
-                np.asarray(lines, dtype=np.int64))
-
-    @staticmethod
-    def _add_stats(caches: list[SetAssocCache], accesses: np.ndarray,
-                   hits: np.ndarray) -> None:
-        """Fold per-cache counts in — one batched update per level."""
-        for cache, n_acc, n_hit in zip(caches, accesses.tolist(),
-                                       hits.tolist()):
-            cache.stats.accesses += n_acc
-            cache.stats.hits += n_hit
-
-    # ----- stream filtering ----------------------------------------
+        self.l1_sets = cache_sets(config.l1_bytes_per_sm,
+                                  config.line_size, config.l1_assoc)
+        self.l2_sets = cache_sets(config.l2_bytes_per_channel,
+                                  config.line_size, config.l2_assoc)
+        self._l1 = CacheStats()
+        self._l2 = CacheStats()
 
     def filter_stream_indices(self, line_addrs: np.ndarray) -> np.ndarray:
         """Positions (into the raw stream) of accesses that miss on chip.
 
         Returning indices rather than addresses lets callers carry any
         per-access metadata (write flags, thread ids) through the
-        filter.
+        filter.  A negative line address raises ``SimulationError``.
         """
         line_addrs = np.asarray(line_addrs)
+        with obs_trace.span("cache.filter", cat="gpu",
+                            accesses=int(line_addrs.size)) as span:
+            misses = self._miss_positions(line_addrs)
+            span.annotate(misses=int(misses.size))
+        return misses
+
+    def _miss_positions(self, line_addrs: np.ndarray) -> np.ndarray:
         n = int(line_addrs.size)
         if n == 0:
             return np.empty(0, dtype=np.int64)
         if int(line_addrs.min()) < 0:
-            return self._filter_loop(line_addrs)  # degenerate input
-        n_sms = len(self._l1s)
-        l1_sets = self._l1s[0].n_sets
-        l2_sets = self._l2s[0].n_sets
+            raise SimulationError("line addresses must be non-negative")
+        n_sms = self.config.n_sms
+        l1_sets = self.l1_sets
+        l2_sets = self.l2_sets
 
         line_top = int(line_addrs.max())
         dtype = np.int32 if line_top < 2 ** 31 else np.int64
         lines = line_addrs.astype(dtype, copy=False)
-        sms = _sm_pattern(n_sms, n)
 
         # L1: one LRU set per (SM, set index); SM striping follows the
-        # round-robin warp scheduler, as in the scalar path.
+        # round-robin warp scheduler.
         if n_sms * l1_sets <= 127:
             # Byte-wide ids keep the grouping sort on the radix path
             # with no widening casts downstream.
             g1 = _set_index(lines, l1_sets).astype(np.int8)
             g1 += _sm_scaled(n_sms, l1_sets, n)
         else:
-            g1 = sms * np.int32(l1_sets) + _set_index(lines, l1_sets)
-        warm_sets, warm_lines = self._warm_state(self._l1s,
-                                                 self._pending_l1)
-        l1_hits, chain1 = lru_filter(g1, lines, self._l1s[0].assoc,
-                                     warm_set_ids=warm_sets,
-                                     warm_lines=warm_lines,
-                                     n_groups=n_sms * l1_sets,
-                                     line_top=line_top)
-        self._pending_l1 = chain1
-
-        l1_accesses = np.full(n_sms, n // n_sms, dtype=np.int64)
-        l1_accesses[:n % n_sms] += 1
-        self._add_stats(self._l1s, l1_accesses,
-                        np.bincount(sms[l1_hits], minlength=n_sms))
+            g1 = (_sm_pattern(n_sms, n) * np.int32(l1_sets)
+                  + _set_index(lines, l1_sets))
+        l1_hits = lru_filter(g1, lines, self.config.l1_assoc,
+                             n_groups=n_sms * l1_sets,
+                             line_top=line_top)
 
         # L2: memory-side slices selected by line address, so the set
         # id is a pure function of the line (``line_keyed``).
@@ -316,39 +198,19 @@ class CacheHierarchy:
         if line_top < 1 << 16 and self.n_channels * l2_sets < 1 << 8:
             g2 = _l2_key_table(line_top, self.n_channels,
                                l2_sets)[l2_lines]
-            if l2_sets & (l2_sets - 1) == 0:
-                channels = g2 >> np.uint8(l2_sets.bit_length() - 1)
-            else:
-                channels = g2 // np.uint8(l2_sets)
         else:
-            channels = _set_index(l2_lines, self.n_channels)
-            g2 = (channels * np.int32(l2_sets)
-                  + _set_index(l2_lines, l2_sets))
-        warm_sets, warm_lines = self._warm_state(self._l2s,
-                                                 self._pending_l2)
-        l2_hits, chain2 = lru_filter(g2, l2_lines, self._l2s[0].assoc,
-                                     warm_set_ids=warm_sets,
-                                     warm_lines=warm_lines,
-                                     line_keyed=True,
-                                     n_groups=self.n_channels * l2_sets,
-                                     line_top=line_top)
-        self._pending_l2 = chain2
+            g2 = (_set_index(l2_lines, self.n_channels)
+                  * np.int32(l2_sets) + _set_index(l2_lines, l2_sets))
+        l2_hits = lru_filter(g2, l2_lines, self.config.l2_assoc,
+                             line_keyed=True,
+                             n_groups=self.n_channels * l2_sets,
+                             line_top=line_top)
 
-        self._add_stats(
-            self._l2s,
-            np.bincount(channels, minlength=self.n_channels),
-            np.bincount(channels[l2_hits], minlength=self.n_channels))
-
+        n_l1_misses = int(l1_miss_positions.size)
+        self._l1 = self._l1.merge(CacheStats(n, n - n_l1_misses))
+        self._l2 = self._l2.merge(
+            CacheStats(n_l1_misses, int(np.count_nonzero(l2_hits))))
         return l1_miss_positions[~l2_hits]
-
-    def _filter_loop(self, line_addrs: np.ndarray) -> np.ndarray:
-        """Sequential fallback (e.g. negative addresses)."""
-        misses = []
-        n_sms = len(self._l1s)
-        for position, line_addr in enumerate(line_addrs.tolist()):
-            if not self.access(line_addr, position % n_sms):
-                misses.append(position)
-        return np.asarray(misses, dtype=np.int64)
 
     def filter_stream(self, line_addrs: np.ndarray) -> np.ndarray:
         """DRAM-level miss stream for a raw access stream (in order)."""
@@ -357,23 +219,7 @@ class CacheHierarchy:
         ]
 
     def l1_stats(self) -> CacheStats:
-        total = CacheStats()
-        for cache in self._l1s:
-            total = total.merge(cache.stats)
-        return total
+        return self._l1
 
     def l2_stats(self) -> CacheStats:
-        total = CacheStats()
-        for cache in self._l2s:
-            total = total.merge(cache.stats)
-        return total
-
-    def flush(self) -> None:
-        # Pending kernel state is invalidated wholesale; statistics
-        # were already folded in when the filter ran.
-        self._pending_l1 = None
-        self._pending_l2 = None
-        for cache in self._l1s:
-            cache.flush()
-        for cache in self._l2s:
-            cache.flush()
+        return self._l2

@@ -262,7 +262,3 @@ class ServeConfig:
         if not self.use_cache:
             return None
         return cache_root(self.cache_dir)
-
-    def with_overrides(self, **kwargs) -> "ServeConfig":
-        """A copy with the given fields replaced (test convenience)."""
-        return replace(self, **kwargs)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigError
-from repro.gpu.cache import CacheHierarchy, CacheStats, SetAssocCache
+from repro.core.errors import ConfigError, SimulationError
+from repro.gpu._reference import SetAssocCache
+from repro.gpu.cache import CacheHierarchy, CacheStats
 from repro.gpu.config import table1_config
 
 
@@ -53,14 +54,6 @@ class TestSetAssocCache:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_flush_clears_lines_keeps_stats(self):
-        cache = self._cache()
-        cache.access(0)
-        cache.flush()
-        assert cache.resident_lines() == 0
-        assert cache.stats.accesses == 1
-        assert cache.access(0) is False
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ConfigError):
@@ -114,15 +107,17 @@ class TestCacheHierarchy:
 
     def test_l2_filters_l1_misses(self):
         hierarchy = self._hierarchy()
-        # Same line from different SMs: misses L1 of SM1 but hits L2.
-        hierarchy.access(7, sm=0)
-        assert hierarchy.access(7, sm=1) is True
+        # Same line from different SMs (positions 0 and 1 stripe onto
+        # SM 0 and SM 1): misses L1 of SM 1 but hits L2.
+        misses = hierarchy.filter_stream(np.array([7, 7], dtype=np.int64))
+        assert misses.tolist() == [7]
+        assert hierarchy.l2_stats().hits == 1
 
-    def test_flush(self):
+    def test_negative_line_address_rejected(self):
         hierarchy = self._hierarchy()
-        hierarchy.access(7, sm=0)
-        hierarchy.flush()
-        assert hierarchy.access(7, sm=0) is False
+        with pytest.raises(SimulationError):
+            hierarchy.filter_stream_indices(np.array([3, -1, 4]))
+        assert hierarchy.l1_stats().accesses == 0
 
     def test_bad_channel_count(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,8 @@ survive in :mod:`repro.gpu._reference` as the behavioural oracle; this
 suite pins the vectorized implementations to them:
 
 * filter: *bit-identical* miss-index streams (and identical hit/miss
-  statistics) across workloads and seeds;
+  statistics) across workloads and seeds, and across generated cache
+  geometries and streams that reach every branch of the filter;
 * engines: every :class:`SimResult` field within 1e-9 relative across
   workloads and placement shapes, including the tiny-window regime
   that takes the sequential fallback;
@@ -20,7 +21,10 @@ bench``, which asserts the same equalities while timing.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.units import LINE_SIZE
 from repro.gpu._reference import (
     ReferenceCacheHierarchy,
     reference_banked_run,
@@ -29,7 +33,7 @@ from repro.gpu._reference import (
 )
 from repro.gpu.banked import BankedEngine
 from repro.gpu.cache import CacheHierarchy
-from repro.gpu.config import table1_config
+from repro.gpu.config import GpuConfig, table1_config
 from repro.gpu.engine import DetailedEngine
 from repro.gpu.service import (
     _MIN_BATCH_WINDOW,
@@ -82,25 +86,66 @@ class TestFilterGolden:
             assert stat_new.accesses == stat_old.accesses
             assert stat_new.hits == stat_old.hits
 
-    def test_scalar_and_stream_interoperate(self):
-        """Dict state seeds the kernel; kernel state serves scalars."""
-        rng = np.random.default_rng(3)
-        stream = rng.integers(0, 4096, size=6000)
-        config = table1_config()
-        new = CacheHierarchy(config, BASELINE_CHANNELS)
-        old = ReferenceCacheHierarchy(config, BASELINE_CHANNELS)
-        for lo, hi in ((0, 100), (100, 4000), (4000, 4100),
-                       (4100, 6000)):
-            chunk = stream[lo:hi]
-            if (hi - lo) < 200:  # scalar path
-                got = [new.access(int(line), sm)
-                       for sm, line in enumerate(chunk)]
-                want = [old.access(int(line), sm)
-                        for sm, line in enumerate(chunk)]
-                assert got == want
-            else:  # vectorized path
-                assert np.array_equal(new.filter_stream_indices(chunk),
-                                      old.filter_stream_indices(chunk))
+
+def _filter_case(n_sms, l1_sets, l1_assoc, l2_sets, l2_assoc,
+                 n_channels, stream):
+    config = GpuConfig(n_sms=n_sms,
+                       l1_bytes_per_sm=l1_sets * l1_assoc * LINE_SIZE,
+                       l1_assoc=l1_assoc,
+                       l2_bytes_per_channel=l2_sets * l2_assoc * LINE_SIZE,
+                       l2_assoc=l2_assoc)
+    return config, n_channels, np.asarray(stream, dtype=np.int64)
+
+
+@st.composite
+def _filter_cases(draw):
+    """(config, n_channels, stream) over every filter branch.
+
+    The L1 set-id width (byte vs int32), the L2 keying (line table vs
+    modulo), power-of-two vs other set counts, 32- vs 64-bit lines and
+    stream lengths from empty up are each drawn explicitly.  Streams
+    pick from a small line universe so lines are reused and evicted.
+    """
+    l1_sets = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 12)))
+    byte_limit = 127 // l1_sets  # largest n_sms with byte-wide L1 ids
+    if draw(st.booleans()):
+        n_sms = draw(st.integers(1, byte_limit))
+    else:
+        n_sms = draw(st.integers(byte_limit + 1, byte_limit + 4))
+    l2_sets = draw(st.sampled_from((1, 2, 3, 4, 6, 7, 16, 32)))
+    n_channels = draw(st.integers(1, 12))
+    top = draw(st.sampled_from((1 << 10, 1 << 16, 1 << 33)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    universe = rng.integers(0, top, size=draw(st.integers(1, 64)))
+    length = draw(st.integers(0, 400))
+    stream = universe[rng.integers(0, universe.size, size=length)]
+    return _filter_case(n_sms, l1_sets, draw(st.integers(1, 4)),
+                        l2_sets, draw(st.integers(1, 8)), n_channels,
+                        stream)
+
+
+class TestFilterProperties:
+    @given(case=_filter_cases())
+    @example(case=_filter_case(4, 2, 2, 4, 2, 3, []))
+    @example(case=_filter_case(4, 2, 2, 4, 2, 3, [5]))
+    # byte-wide L1 ids, L2 key table, power-of-two sets
+    @example(case=_filter_case(4, 8, 2, 4, 2, 4,
+                               [0, 8, 16, 0, 32, 8, 0, 64, 16, 0]))
+    # int32 L1 ids, L2 modulo path, odd set counts, 64-bit lines
+    @example(case=_filter_case(40, 5, 2, 7, 3, 5,
+                               [1 << 32, 3, 1 << 32, 10, 3, 17, 3]))
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_hierarchy_matches_reference(self, case):
+        config, n_channels, stream = case
+        new = CacheHierarchy(config, n_channels)
+        old = ReferenceCacheHierarchy(config, n_channels)
+        assert np.array_equal(new.filter_stream_indices(stream),
+                              old.filter_stream_indices(stream))
+        for stat_new, stat_old in ((new.l1_stats(), old.l1_stats()),
+                                   (new.l2_stats(), old.l2_stats())):
+            assert stat_new.accesses == stat_old.accesses
+            assert stat_new.hits == stat_old.hits
 
 
 class TestEngineGolden:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_context
 from repro.core.metrics import geomean
 from repro.core.units import PAGE_SIZE, bytes_to_pages, pages_to_bytes
-from repro.gpu.cache import SetAssocCache
+from repro.gpu._reference import SetAssocCache
 from repro.gpu.config import table1_config
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
