@@ -469,7 +469,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_pending_jobs=args.max_pending,
         simulate_workers=args.workers,
         request_timeout_s=args.timeout,
-        batch_window_ms=args.batch_window_ms,
         breaker_threshold=args.breaker_threshold,
         breaker_reset_s=args.breaker_reset,
         drain_timeout_s=args.drain_timeout,
@@ -817,8 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "429 backpressure")
     p_serve.add_argument("--timeout", type=float, default=120.0,
                          help="per-request timeout in seconds")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="placement micro-batch collection window")
     p_serve.add_argument("--breaker-threshold", type=int, default=5,
                          help="consecutive simulate failures before "
                               "the circuit breaker opens (fast 503)")

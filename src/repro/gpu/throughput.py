@@ -79,9 +79,10 @@ class ThroughputEngine:
             np.arange(n_accesses, dtype=np.int64) * trace.n_epochs
             // n_accesses
         )
+        cells = epoch_ids * n_zones + access_zones
         # counts[e, z]: DRAM accesses in epoch e served by zone z.
         counts = np.bincount(
-            epoch_ids * n_zones + access_zones,
+            cells,
             minlength=trace.n_epochs * n_zones,
         ).reshape(trace.n_epochs, n_zones).astype(np.float64)
         # occupancy[e, z]: the same, with writes weighted by the zone
@@ -91,7 +92,7 @@ class ThroughputEngine:
         ])
         weights = trace.write_weights(write_factors, access_zones)
         occupancy = np.bincount(
-            epoch_ids * n_zones + access_zones,
+            cells,
             weights=weights,
             minlength=trace.n_epochs * n_zones,
         ).reshape(trace.n_epochs, n_zones)

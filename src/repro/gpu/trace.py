@@ -168,9 +168,10 @@ class DramTrace:
         if self.is_write is None:
             return np.ones(self.n_accesses)
         factors = np.asarray(write_cost_factors, dtype=np.float64)
-        weights = np.ones(self.n_accesses)
-        weights[self.is_write] = factors[access_zones[self.is_write]]
-        return weights
+        # table[z, w]: weight of a read (w=0) or a write (w=1) served by
+        # zone z, gathered once per access.
+        table = np.stack([np.ones_like(factors), factors], axis=1)
+        return table.ravel().take(access_zones * 2 + self.is_write)
 
 
 def validate_zone_map(zone_map: np.ndarray, footprint_pages: int,

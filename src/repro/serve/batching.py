@@ -2,9 +2,10 @@
 
 Two shapes of request coalescing, both pure asyncio:
 
-* :class:`MicroBatcher` — amortize many cheap, independent requests
-  (``/v1/placement``) by collecting everything that arrives within a
-  short window into one handler call;
+* :class:`MicroBatcher` — coalesce many cheap, independent requests
+  (``/v1/placement``) without ever waiting for more: each handler call
+  takes whatever is already queued, and requests that arrive while it
+  runs form the next call;
 * :class:`SingleFlight` — deduplicate expensive identical requests
   (``/v1/simulate``): the first caller starts the job, concurrent
   identical callers await the *same* task, and the key is released when
@@ -20,6 +21,7 @@ import asyncio
 from typing import Any, Awaitable, Callable, Optional, Sequence
 
 from repro.core.errors import ServeError
+from repro.obs import trace as obs_trace
 
 
 class BatchSaturatedError(ServeError):
@@ -27,7 +29,7 @@ class BatchSaturatedError(ServeError):
 
 
 class MicroBatcher:
-    """Collect concurrent submissions into windowed handler calls.
+    """Work-conserving batcher: drain what is queued into handler calls.
 
     ``handler`` receives a list of items and must return a list of
     results of equal length, aligned by position; a result may be an
@@ -36,25 +38,20 @@ class MicroBatcher:
     event loop — it must be cheap (the closed-form ``GetAllocation``
     path qualifies; simulations do not).
 
-    A batch is flushed when ``max_batch`` items are waiting or when
-    ``window_s`` has elapsed since the first item arrived, whichever
-    comes first.  ``window_s=0`` degenerates to drain-what's-queued,
-    which still coalesces bursts that arrived while a previous batch
-    was being processed.
+    A batch is the first queued item plus whatever else is already
+    queued, up to ``max_batch``.  No timer holds a batch open: a lone
+    request is handled as soon as the worker runs, and requests that
+    arrive while a batch is being handled form the next batch.
     """
 
     def __init__(self, handler: Callable[[list], list],
-                 window_s: float = 0.002,
                  max_batch: int = 64,
                  max_queue: int = 256) -> None:
         self._handler = handler
-        self.window_s = window_s
         self.max_batch = max_batch
         self.max_queue = max_queue
         self._queue: asyncio.Queue = asyncio.Queue()
         self._worker: Optional[asyncio.Task] = None
-        #: filled in by the owner for observability; batch sizes seen.
-        self.batch_sizes: list[int] = []
         #: observability hook: called with the queue depth on every
         #: enqueue and dequeue, so a gauge wired here is live rather
         #: than sampled at scrape/flush time (it used to go stale
@@ -103,35 +100,21 @@ class MicroBatcher:
         return await future
 
     async def _collect(self) -> list:
-        """One batch: first item blocks, the rest race the window."""
+        """One batch: block for the first item, then take what's queued."""
         batch = [await self._queue.get()]
+        while len(batch) < self.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
         self._depth_changed()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.window_s
-        while len(batch) < self.max_batch:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                while (len(batch) < self.max_batch
-                       and not self._queue.empty()):
-                    batch.append(self._queue.get_nowait())
-                self._depth_changed()
-                break
-            try:
-                batch.append(await asyncio.wait_for(
-                    self._queue.get(), remaining
-                ))
-                self._depth_changed()
-            except asyncio.TimeoutError:
-                break
         return batch
 
     async def _run(self) -> None:
         while True:
             batch = await self._collect()
-            self.batch_sizes.append(len(batch))
             items = [item for item, _ in batch]
             try:
-                results = self._handler(items)
+                with obs_trace.span("serve.batch", cat="serve",
+                                    size=len(items)):
+                    results = self._handler(items)
                 if len(results) != len(items):
                     raise ServeError(
                         "batch handler returned "

@@ -71,7 +71,8 @@ class ServeConfig:
     :class:`~repro.runner.sweep.SweepRunner` batch (which consults the
     shared on-disk cache first).  ``/v1/placement`` never enters this
     queue — it is answered from the closed-form ``GetAllocation`` path,
-    micro-batched over a ``batch_window_ms`` collection window.
+    batched only from requests already queued (at most
+    ``max_batch_size`` per batch; no collection window).
     """
 
     host: str = DEFAULT_HOST
@@ -118,8 +119,7 @@ class ServeConfig:
     #: $REPRO_PIN_CORES, default off).
     pin_cores: Optional[bool] = None
 
-    #: placement micro-batch collection window and size cap.
-    batch_window_ms: float = 2.0
+    #: placement batch size cap.
     max_batch_size: int = 64
     #: pending placement requests beyond which the daemon degrades to
     #: inline (unbatched) computation instead of queueing further.
@@ -183,8 +183,6 @@ class ServeConfig:
             raise ConfigError("simulate_workers must be >= 1")
         if self.request_timeout_s <= 0:
             raise ConfigError("request_timeout_s must be positive")
-        if self.batch_window_ms < 0:
-            raise ConfigError("batch_window_ms must be >= 0")
         if self.max_batch_size < 1:
             raise ConfigError("max_batch_size must be >= 1")
         if self.profile_cache_size < 1:

@@ -5,10 +5,11 @@ shared state; the HTTP layer (:mod:`repro.serve.http`) only translates
 between wire format and these methods.
 
 * **placement** — the paper's ``GetAllocation`` (Fig. 9) as a service:
-  closed-form, cheap, micro-batched across concurrent requests via
-  :class:`~repro.serve.batching.MicroBatcher`.  When the batch queue
-  saturates the service degrades to inline computation — placement is
-  the path that must always answer.
+  closed-form, cheap, batched across concurrent requests via the
+  work-conserving :class:`~repro.serve.batching.MicroBatcher` (a batch
+  is only what is already queued; nothing waits for more to arrive).
+  When the batch queue saturates the service degrades to inline
+  computation — placement is the path that must always answer.
 * **simulate** — a full workload x policy experiment through one shared
   :class:`~repro.runner.sweep.SweepRunner` (process fan-out + the
   on-disk result cache every other repro entry point shares).  Identical
@@ -329,7 +330,6 @@ class PlacementService:
                               if cache_dir is not None else None)
         self._batcher = MicroBatcher(
             self._placement_batch,
-            window_s=self.config.batch_window_ms / 1000.0,
             max_batch=self.config.max_batch_size,
             max_queue=self.config.max_placement_queue,
         )

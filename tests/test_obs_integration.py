@@ -189,6 +189,24 @@ class TestServeTraceTree:
             assert trace_id in ids_for(name), name
         assert trace_id in ids_for("client.request")
 
+    def test_placement_request_records_batch_span(self, tmp_path):
+        """The batcher's handler call is its own span inside the
+        request's ``serve.placement`` span, so a trace separates queue
+        wait from handler time."""
+        tracer = obs_trace.install(tmp_path / "placement-trace.json")
+        config = ServeConfig(port=0, use_cache=False)
+        with BackgroundServer(config) as server:
+            client = ServeClient(server.base_url)
+            client.wait_until_ready()
+            client.placement([40960, 40960], [1, 50],
+                             bo_capacity_bytes=40960)
+        spans = {e["name"]: e for e in tracer.events
+                 if e.get("ph") == "X"}
+        request, batch = spans["serve.placement"], spans["serve.batch"]
+        assert batch["args"]["size"] == 1
+        assert request["ts"] <= batch["ts"]
+        assert batch["dur"] <= request["dur"]
+
     def test_trace_id_header_echoed(self, tmp_path):
         obs_trace.install(tmp_path / "echo-trace.json")
         config = ServeConfig(port=0, cache_dir=tmp_path / "cache",

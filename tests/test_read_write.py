@@ -7,6 +7,8 @@ with a per-technology channel-occupancy factor (turnaround + recovery).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError, SimulationError
 from repro.gpu.config import table1_config
@@ -70,6 +72,47 @@ class TestTraceFlags:
         zones = np.zeros(trace.n_accesses, dtype=np.int64)
         weights = trace.write_weights(np.array([1.15, 1.10]), zones)
         assert np.all(weights == 1.15)
+
+
+def _mask_write_weights(factors, zones, flags):
+    """The boolean-mask formulation the gather kernel replaced."""
+    weights = np.ones(zones.size)
+    weights[flags] = factors[zones[flags]]
+    return weights
+
+
+@st.composite
+def _weight_cases(draw):
+    n_zones = draw(st.integers(1, 6))
+    factors = np.array(draw(st.lists(
+        st.floats(1.0, 4.0, allow_nan=False), min_size=n_zones,
+        max_size=n_zones)))
+    n = draw(st.integers(0, 200))
+    zones = np.array(draw(st.lists(st.integers(0, n_zones - 1),
+                                   min_size=n, max_size=n)),
+                     dtype=np.int64)
+    mode = draw(st.sampled_from(("mixed", "reads", "writes")))
+    if mode == "mixed":
+        flags = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool)
+    else:
+        flags = np.full(n, mode == "writes")
+    return factors, zones, flags
+
+
+class TestWriteWeightsKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(_weight_cases())
+    def test_gather_matches_mask_bit_for_bit(self, case):
+        factors, zones, flags = case
+        trace = DramTrace(page_indices=np.zeros(zones.size, dtype=np.int64),
+                          footprint_pages=1,
+                          n_raw_accesses=max(zones.size, 1),
+                          is_write=flags)
+        got = trace.write_weights(factors, zones)
+        want = _mask_write_weights(factors, zones, flags)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestEngineAsymmetry:

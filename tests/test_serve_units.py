@@ -78,7 +78,6 @@ class TestServeConfig:
         {"max_pending_jobs": 0},
         {"simulate_workers": 0},
         {"request_timeout_s": 0},
-        {"batch_window_ms": -1},
         {"max_batch_size": 0},
         {"profile_cache_size": 0},
     ])
@@ -148,41 +147,97 @@ class TestMetricsRegistry:
 
 
 class TestMicroBatcher:
+    @staticmethod
+    def recording(handler):
+        """Wrap ``handler`` so the test sees every batch's size."""
+        sizes: list[int] = []
+
+        def wrapped(items):
+            sizes.append(len(items))
+            return handler(items)
+
+        return wrapped, sizes
+
     def test_coalesces_concurrent_submissions(self):
+        handler, sizes = self.recording(lambda items: [i * 2 for i in items])
+
         async def scenario():
-            batcher = MicroBatcher(lambda items: [i * 2 for i in items],
-                                   window_s=0.01, max_batch=64)
+            batcher = MicroBatcher(handler, max_batch=64)
             batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(10))
             )
             await batcher.stop()
-            return results, batcher.batch_sizes
+            return results
 
-        results, batch_sizes = asyncio.run(scenario())
+        results = asyncio.run(scenario())
         assert results == [i * 2 for i in range(10)]
-        # All ten were queued before the window elapsed: one batch.
-        assert batch_sizes == [10]
+        # All ten were queued before the worker woke: one batch.
+        assert sizes == [10]
 
     def test_max_batch_splits(self):
+        handler, sizes = self.recording(lambda items: list(items))
+
         async def scenario():
-            batcher = MicroBatcher(lambda items: list(items),
-                                   window_s=0.01, max_batch=4)
+            batcher = MicroBatcher(handler, max_batch=4)
             batcher.start()
             await asyncio.gather(*(batcher.submit(i) for i in range(10)))
             await batcher.stop()
-            return batcher.batch_sizes
 
-        sizes = asyncio.run(scenario())
+        asyncio.run(scenario())
         assert sum(sizes) == 10
         assert max(sizes) <= 4
+
+    def test_lone_submission_needs_no_timer(self):
+        """A single request is answered within a few scheduler passes
+        even when the loop clock never advances, so no timer (window,
+        deadline) can be what releases it."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.time = lambda: 0.0  # frozen: no timer ever comes due
+            batcher = MicroBatcher(lambda items: [i + 1 for i in items])
+            batcher.start()
+            pending = asyncio.ensure_future(batcher.submit(41))
+            for _ in range(10):
+                if pending.done():
+                    break
+                await asyncio.sleep(0)
+            answered = pending.done()
+            await batcher.stop()
+            return answered, (pending.result() if answered else None)
+
+        assert asyncio.run(scenario()) == (True, 42)
+
+    def test_arrivals_during_handler_form_next_batch(self):
+        """Requests submitted while a batch is being handled are not
+        folded into it; they are drained together as the next batch."""
+
+        async def scenario():
+            later: list = []
+
+            def submit_more_once(items):
+                if not later:
+                    later.extend(asyncio.ensure_future(batcher.submit(i))
+                                 for i in range(1, 5))
+                return list(items)
+
+            handler, sizes = self.recording(submit_more_once)
+            batcher = MicroBatcher(handler)
+            batcher.start()
+            first = await batcher.submit(0)
+            rest = await asyncio.gather(*later)
+            await batcher.stop()
+            return first, rest, sizes
+
+        assert asyncio.run(scenario()) == (0, [1, 2, 3, 4], [1, 4])
 
     def test_per_item_exceptions_do_not_poison_batch(self):
         def handler(items):
             return [ValueError("bad") if i == 3 else i for i in items]
 
         async def scenario():
-            batcher = MicroBatcher(handler, window_s=0.01)
+            batcher = MicroBatcher(handler)
             batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(5)),
@@ -200,7 +255,7 @@ class TestMicroBatcher:
             raise RuntimeError("boom")
 
         async def scenario():
-            batcher = MicroBatcher(handler, window_s=0.0)
+            batcher = MicroBatcher(handler)
             batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(3)),
@@ -214,20 +269,23 @@ class TestMicroBatcher:
 
     def test_saturation_raises(self):
         async def scenario():
-            batcher = MicroBatcher(lambda items: list(items),
-                                   window_s=5.0, max_queue=2)
+            batcher = MicroBatcher(lambda items: list(items), max_queue=2)
             batcher.start()
-            # Fill the queue without letting the window flush.
+            await asyncio.sleep(0)  # worker parks on the empty queue
+            # Both submissions enqueue before the woken worker runs
+            # again, so the queue is full when the third arrives.
             first = asyncio.ensure_future(batcher.submit(1))
             second = asyncio.ensure_future(batcher.submit(2))
             await asyncio.sleep(0)
+            assert batcher.queue_depth == 2
             with pytest.raises(BatchSaturatedError):
                 await batcher.submit(3)
-            first.cancel()
-            second.cancel()
+            # The queued pair is still answered once the worker drains.
+            answered = await asyncio.gather(first, second)
             await batcher.stop()
+            return answered
 
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()) == [1, 2]
 
     def test_submit_before_start_rejected(self):
         async def scenario():
@@ -245,8 +303,7 @@ class TestMicroBatcher:
         depths = []
 
         async def scenario():
-            batcher = MicroBatcher(lambda items: list(items),
-                                   window_s=0.01, max_batch=64)
+            batcher = MicroBatcher(lambda items: list(items), max_batch=64)
             batcher.on_depth_change = depths.append
             batcher.start()
             await asyncio.gather(*(batcher.submit(i) for i in range(4)))
